@@ -56,6 +56,119 @@ double transitions_per_second(const pp::Protocol& protocol,
   return elapsed > 0 ? static_cast<double>(calls) / elapsed : 0.0;
 }
 
+/// The `dispatch` section: calibrates backend=auto's count-engine floor
+/// (sim::kAutoDenseMinN). Circles k=3 runs to silence on the agent array and
+/// on dense_batched for n = 16, 32, ..., max_n under the uniform and the
+/// two-cluster scheduler, both backends on the same pinned seed (identical
+/// per-trial inputs). A cell's time is its whole BatchRunner call, setup
+/// included, because that is what auto's pick costs a sweep; cells under
+/// 0.2 s are re-run up to five times and keep their fastest pass. Above
+/// n = 512 the trial count shrinks as (512/n)^2 (at least 8): the clustered
+/// agent cells' silence time grows ~n^2, so this keeps their cost per cell
+/// roughly flat. Both backends of a cell always run the same trials.
+struct DispatchCheck {
+  bool correct = true;  ///< every trial reached a correct silent consensus
+  /// dense_batched no slower than the agent array at every n >=
+  /// 2 * kAutoDenseMinN (the margin keeps the check off the noisy near-tie
+  /// at the floor itself).
+  bool floor_holds = true;
+};
+
+DispatchCheck dispatch_section(bench::Report& report,
+                               const sim::BatchOptions& batch,
+                               std::uint32_t trials, std::uint64_t max_n,
+                               std::uint64_t seed) {
+  struct Scheduler {
+    const char* label;
+    pp::SchedulerKind kind;
+    std::uint32_t clusters;
+  };
+  const Scheduler schedulers[] = {
+      {"uniform", pp::SchedulerKind::kUniformRandom, 0},
+      {"clustered-2", pp::SchedulerKind::kClustered, 2},
+  };
+  DispatchCheck check;
+  util::Table table({"scheduler", "n", "trials", "agent s",
+                     "dense_batched s", "agent/batched", "faster"});
+  std::vector<std::string> crossovers;
+  for (const Scheduler& scheduler : schedulers) {
+    // Smallest n from which dense_batched is at least as fast at every
+    // larger n measured (0 = it never is).
+    std::uint64_t crossover = 0;
+    for (std::uint64_t n = 16; n <= max_n; n *= 2) {
+      const auto cell_trials = static_cast<std::uint32_t>(
+          n <= 512 ? trials
+                   : std::max<std::uint64_t>(8, trials * 512 * 512 / (n * n)));
+      double seconds[2] = {0.0, 0.0};
+      const sim::EngineKind backends[2] = {sim::EngineKind::kAgentArray,
+                                           sim::EngineKind::kDenseBatched};
+      for (int b = 0; b < 2; ++b) {
+        sim::RunSpec spec;
+        spec.protocol = "circles";
+        spec.params.k = 3;
+        spec.n = n;
+        spec.scheduler = scheduler.kind;
+        spec.clusters = scheduler.clusters;
+        spec.trials = cell_trials;
+        spec.seed = sim::mix_seed(seed, 0xD15 + n);
+        spec.backend = backends[b];
+        // Never let "hit the budget" cut a clustered agent run short.
+        spec.engine.max_interactions = ~std::uint64_t{0};
+        auto options = batch;
+        options.keep_trials = false;
+        sim::SpecResult result;
+        seconds[b] = 1e300;
+        for (int pass = 0; pass < 5; ++pass) {
+          const auto start = Clock::now();
+          result = sim::BatchRunner(options).run_one(spec);
+          seconds[b] = std::min(seconds[b], seconds_since(start));
+          if (seconds[b] >= 0.2) break;
+        }
+        check.correct = check.correct && result.all_correct();
+        report.add_cell(result)
+            .set("section", "dispatch")
+            .set("scheduler", scheduler.label)
+            .set("wall_ms", seconds[b] * 1000.0)
+            .set("trial_ms_sum", result.trial_ms.mean *
+                                     static_cast<double>(result.trial_ms.count))
+            .set("correct", static_cast<std::uint64_t>(result.correct));
+      }
+      const bool batched_wins = seconds[1] <= seconds[0];
+      if (!batched_wins) {
+        crossover = 0;
+      } else if (crossover == 0) {
+        crossover = n;
+      }
+      if (n >= 2 * sim::kAutoDenseMinN && !batched_wins) {
+        check.floor_holds = false;
+      }
+      table.add_row({scheduler.label, util::Table::num(n),
+                     util::Table::num(std::uint64_t{cell_trials}),
+                     util::Table::num(seconds[0], 3),
+                     util::Table::num(seconds[1], 3),
+                     util::Table::num(seconds[0] / seconds[1], 1),
+                     batched_wins ? "dense_batched" : "agent"});
+    }
+    report.add_cell()
+        .set("section", "dispatch_crossover")
+        .set("scheduler", scheduler.label)
+        .set("crossover_n", crossover)
+        .set("auto_dense_min_n", sim::kAutoDenseMinN);
+    crossovers.push_back(std::string(scheduler.label) + " n=" +
+                         (crossover == 0 ? std::string("none")
+                                         : std::to_string(crossover)));
+  }
+  table.print("dispatch calibration — circles k=3 run to silence, agent vs "
+              "dense_batched (same seeds)");
+  std::printf("\ncrossover (dense_batched at least as fast from here on): ");
+  for (std::size_t i = 0; i < crossovers.size(); ++i) {
+    std::printf("%s%s", i ? "; " : "", crossovers[i].c_str());
+  }
+  std::printf("\nbackend=auto floor: kAutoDenseMinN=%llu\n",
+              static_cast<unsigned long long>(sim::kAutoDenseMinN));
+  return check;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,7 +213,7 @@ int main(int argc, char** argv) {
   const auto run_threads_flag = static_cast<std::uint32_t>(cli.int_flag(
       "run-threads", 0,
       "worker threads INSIDE each dense run for the non-sweep sections "
-      "(0 = auto-budget; the parallel_run section sweeps 1/2/4/8 "
+      "(0 = serial; the parallel_run section sweeps 1/2/4/8 "
       "regardless; the OUTER across-trial pool is --threads)"));
   const auto fluid_n = static_cast<std::uint64_t>(cli.int_flag(
       "fluid_n", smoke ? 1'000'000 : 1'000'000'000,
@@ -108,6 +221,17 @@ int main(int argc, char** argv) {
   const auto fluid_sample_budget = static_cast<std::uint64_t>(cli.int_flag(
       "fluid_sample_budget", smoke ? 500'000 : 50'000'000,
       "interaction budget for the dense_batched rate measurement at fluid_n"));
+  const bool dispatch_only = cli.bool_flag(
+      "dispatch", false,
+      "run only the dispatch calibration section (agent vs dense_batched "
+      "crossover for backend=auto; write it with --json=BENCH_dispatch.json)");
+  const auto dispatch_trials = static_cast<std::uint32_t>(cli.int_flag(
+      "dispatch_trials", smoke ? 4 : 200,
+      "runs-to-silence per dispatch calibration cell up to n=512 "
+      "(scaled by (512/n)^2 above, at least 8)"));
+  const auto dispatch_max_n = static_cast<std::uint64_t>(cli.int_flag(
+      "dispatch_max_n", smoke ? 256 : 4096,
+      "largest n of the dispatch calibration (doubling from 16)"));
   const auto seed =
       static_cast<std::uint64_t>(cli.int_flag("seed", 2, "rng seed"));
   const bool progress = cli.bool_flag(
@@ -136,9 +260,11 @@ int main(int argc, char** argv) {
   // JSON report.
   metrics::MetricsRegistry metrics_registry;
   batch.metrics = &metrics_registry;
-  bench::Report report("throughput");
+  bench::Report report(dispatch_only ? "dispatch" : "throughput");
   metrics::RunManifest manifest = metrics::RunManifest::collect();
-  manifest.spec = smoke ? "bench_throughput --smoke" : "bench_throughput";
+  manifest.spec = std::string("bench_throughput") +
+                  (dispatch_only ? " --dispatch" : "") +
+                  (smoke ? " --smoke" : "");
   manifest.backend = "mixed";
   manifest.kernel = "per-spec";
   manifest.seed = seed;
@@ -146,6 +272,31 @@ int main(int argc, char** argv) {
   manifest.threads = batch.threads;
   manifest.run_threads = run_threads_flag;
   const auto t_program = Clock::now();
+
+  // Emits the machine-readable report; called before each verdict so a
+  // FAIL run still leaves its numbers behind for diagnosis.
+  const auto write_report = [&]() {
+    if (json_path.empty()) return;
+    manifest.finished_utc = metrics::utc_timestamp_now();
+    manifest.wall_ms = seconds_since(t_program) * 1000.0;
+    report.set_manifest(manifest);
+    report.add_metrics(metrics_registry);
+    report.write(json_path);
+  };
+
+  if (dispatch_only) {
+    bench::print_header("E11", "dispatch calibration — where backend=auto "
+                               "should switch from agent to dense_batched");
+    const DispatchCheck check = dispatch_section(
+        report, batch, dispatch_trials, dispatch_max_n, seed);
+    const bool ok = check.correct && (smoke || check.floor_holds);
+    write_report();
+    return bench::verdict(
+        ok, ok ? "every cell correct; dense_batched at least as fast as the "
+                 "agent array from twice backend=auto's floor on"
+               : "a cell failed, or the agent array beat dense_batched above "
+                 "twice backend=auto's floor");
+  }
 
   bench::print_header("E11",
                       "implementation quality — transition and engine "
@@ -838,15 +989,12 @@ int main(int argc, char** argv) {
         std::string(spans_identical ? "yes" : "NO") + ")");
   }
 
-  // Emit the machine-readable perf trajectory before the verdict so a FAIL
-  // run still leaves its numbers behind for diagnosis.
-  if (!json_path.empty()) {
-    manifest.finished_utc = metrics::utc_timestamp_now();
-    manifest.wall_ms = seconds_since(t_program) * 1000.0;
-    report.set_manifest(manifest);
-    report.add_metrics(metrics_registry);
-    report.write(json_path);
-  }
+  // The auto ladder's agent/dense_batched crossover, same cells as
+  // --dispatch (smaller under --smoke).
+  const DispatchCheck dispatch = dispatch_section(
+      report, batch, dispatch_trials, dispatch_max_n, seed);
+
+  write_report();
 
   // The speedup requirement only binds where the hardware can deliver it —
   // and never under --smoke, whose sizes are too small to amortize anything
@@ -862,6 +1010,8 @@ int main(int argc, char** argv) {
       fluid_converged &&
       (smoke || fluid_n < 100'000'000 || fluid_speedup >= 100.0);
   const bool dense_ok = smoke || batched_seconds <= agent_seconds;
+  const bool dispatch_ok =
+      dispatch.correct && (smoke || dispatch.floor_holds);
   // Inner-pool scaling needs cores to scale onto; the identity half of the
   // check binds everywhere, --smoke included.
   const bool parallel_ok =
@@ -878,6 +1028,7 @@ int main(int argc, char** argv) {
   const bool spans_ok =
       spans_identical && (smoke || spans_overhead < 0.02);
   const bool pass = identical && single_rate > 0 && speedup_ok && dense_ok &&
+                    dispatch_ok &&
                     kernel_ok && urn_ok && fluid_ok && parallel_ok &&
                     spans_ok;
   std::string failure;
@@ -895,6 +1046,9 @@ int main(int argc, char** argv) {
               std::to_string(hw_cores) + " cores)";
   } else if (!dense_ok) {
     failure = "dense backend slower than the agent array";
+  } else if (!dispatch_ok) {
+    failure = "dispatch calibration: a cell failed, or the agent array beat "
+              "dense_batched above twice backend=auto's floor";
   } else if (!kernel_identical) {
     failure = "compiled kernel changed the results";
   } else if (!kernel_ok) {

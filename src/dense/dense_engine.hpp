@@ -22,9 +22,9 @@
 //    active-pair counts are recomputed), all independent of n. This is the
 //    reference semantics used by the cross-validation tests.
 //
-//  * kBatched — the sqrt(n) batching of Berenbrink et al. (arXiv:1805.05157,
-//    "Simulating Population Protocols in Sub-Constant Time per
-//    Interaction") generalized across the block structure: sample the exact
+//  * kBatched — the sqrt(n) batching of Berenbrink et al., "Simulating
+//    Population Protocols in Sub-Constant Time per Interaction" (ESA 2020),
+//    generalized across the block structure: sample the exact
 //    collision-free prefix (single urn: precomputed survival table, one
 //    uniform; multi-urn: the exact sequential block/collision chain — all
 //    participants distinct *within each urn*), draw the participants' states

@@ -75,6 +75,7 @@ std::string RunManifest::to_json() const {
   };
   field("spec", spec);
   field("backend", backend);
+  field("dispatch", dispatch);
   field("kernel", kernel);
   out += ",\"seed\":" + std::to_string(seed);
   out += ",\"trials\":" + std::to_string(trials);

@@ -14,11 +14,14 @@ struct RunManifest {
   // What ran (filled by the BatchRunner / bench harness).
   std::string spec;     ///< Full RunSpec::to_string() round-trippable string.
   std::string backend;  ///< Resolved backend ("dense_batched", not "auto").
+  /// Why that backend: "explicit" when the spec named it, else the auto
+  /// ladder's rule, e.g. "auto:lumpable", "auto:n<min", "auto:fluid".
+  std::string dispatch;
   std::string kernel;   ///< kernel::CompileStats kind, "" if no kernel.
   std::uint64_t seed = 0;
   std::uint32_t trials = 0;
   std::uint32_t threads = 0;      ///< Outer across-trial worker count.
-  std::uint32_t run_threads = 0;  ///< Resolved inner per-run worker budget.
+  std::uint32_t run_threads = 0;  ///< Resolved inner per-run worker count.
   double utilization = 0.0;  ///< Outer-pool busy fraction over the batch.
 
   // Where/when it ran (filled by collect()).

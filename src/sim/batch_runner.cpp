@@ -106,6 +106,28 @@ trace::FailureContext failure_context(const RunSpec& spec, EngineKind backend,
   return ctx;
 }
 
+struct AutoDispatch {
+  EngineKind backend;
+  const char* reason;  // RunManifest::dispatch
+};
+
+/// The backend=auto ladder, agent -> dense_batched -> fluid. The agent array
+/// takes whatever the count engines cannot express or would not win on;
+/// every other spec runs on counts, batched until the fluid tier. The
+/// caller still demotes fluid to dense_batched when the drift compile
+/// refuses the protocol ("auto:fluid-compile-fallback").
+AutoDispatch auto_dispatch(std::uint64_t n, std::uint64_t num_states,
+                           bool agent_only_features, bool lumpable) {
+  if (agent_only_features) {
+    return {EngineKind::kAgentArray, "auto:agent-only-feature"};
+  }
+  if (!lumpable) return {EngineKind::kAgentArray, "auto:non-lumpable"};
+  if (num_states > n) return {EngineKind::kAgentArray, "auto:states>n"};
+  if (n < kAutoDenseMinN) return {EngineKind::kAgentArray, "auto:n<min"};
+  if (n >= kAutoFluidMinN) return {EngineKind::kFluid, "auto:fluid"};
+  return {EngineKind::kDenseBatched, "auto:lumpable"};
+}
+
 void aggregate(SpecResult& result, bool keep_trials) {
   result.trial_count = static_cast<std::uint32_t>(result.trials.size());
   std::vector<double> interactions, state_changes, exchanges, stabilization,
@@ -462,12 +484,14 @@ std::vector<SpecResult> BatchRunner::run(
   // scheduler's lumpability, the population size and the state count.
   std::vector<EngineKind> backends(specs.size(), EngineKind::kAgentArray);
 
-  // Outer/inner thread budget, resolved before the engines are built so the
-  // inner width can be baked into the per-spec dense engines. The outer
-  // across-trial pool takes the machine first (trials parallelize
-  // perfectly); only when there are fewer jobs than cores do the leftover
-  // cores move INSIDE the runs (dense multi-urn epoch stages). A spec with
-  // run_threads != 0 pins its own inner width instead. Results are bitwise
+  // Why each spec runs where it does (RunManifest::dispatch).
+  std::vector<const char*> dispatch(specs.size(), "explicit");
+
+  // Outer across-trial pool width: the machine, capped by the job count
+  // (trials parallelize perfectly). The inner width is serial unless a spec
+  // pins run_threads: the pooled multi-urn epoch stages measured slower than
+  // serial on real cores (their fan-out latency exceeds the per-epoch work),
+  // so leftover cores are not moved inside the runs. Results are bitwise
   // identical under every split — this is purely a wall-clock decision.
   std::size_t total_jobs = 0;
   for (const RunSpec& spec : specs) total_jobs += spec.trials;
@@ -476,9 +500,6 @@ std::vector<SpecResult> BatchRunner::run(
   std::uint32_t threads = options_.threads == 0 ? hw : options_.threads;
   threads = static_cast<std::uint32_t>(std::min<std::size_t>(
       threads, std::max<std::size_t>(total_jobs, 1)));
-  const std::uint32_t inner_default =
-      total_jobs >= hw ? 1
-                       : std::max<std::uint32_t>(1, hw / std::max(threads, 1u));
   std::vector<std::uint32_t> run_threads_resolved(specs.size(), 1);
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -551,9 +572,7 @@ std::vector<SpecResult> BatchRunner::run(
           "); tolerances must be positive (0 = engine default)");
     }
 
-    // Resolve the concrete backend. Auto dispatch: agent-only features or a
-    // non-lumpable scheduler force the agent array; otherwise the
-    // population size and state count pick the count-level engine.
+    // Resolve the concrete backend (auto ladder: see auto_dispatch).
     const bool agent_only_features =
         spec.circles_stats || spec.track_used_states ||
         spec.reboot_faults > 0 || static_cast<bool>(spec.grader) ||
@@ -569,17 +588,11 @@ std::vector<SpecResult> BatchRunner::run(
     }
     EngineKind backend = spec.backend;
     if (backend == EngineKind::kAuto) {
-      const std::uint64_t auto_n = spec.effective_n();
-      if (agent_only_features || !lumping.has_value() ||
-          protocol->num_states() > auto_n || auto_n < kAutoDenseMinN) {
-        backend = EngineKind::kAgentArray;
-      } else if (auto_n >= kAutoFluidMinN) {
-        backend = EngineKind::kFluid;
-      } else if (auto_n >= kAutoBatchedMinN) {
-        backend = EngineKind::kDenseBatched;
-      } else {
-        backend = EngineKind::kDense;
-      }
+      const AutoDispatch pick =
+          auto_dispatch(spec.effective_n(), protocol->num_states(),
+                        agent_only_features, lumping.has_value());
+      backend = pick.backend;
+      dispatch[i] = pick.reason;
     }
     backends[i] = backend;
 
@@ -650,8 +663,7 @@ std::vector<SpecResult> BatchRunner::run(
     if (engine_options.tracer == nullptr) {
       engine_options.tracer = spec_tracers[i];
     }
-    run_threads_resolved[i] =
-        spec.run_threads != 0 ? spec.run_threads : inner_default;
+    run_threads_resolved[i] = std::max(spec.run_threads, 1u);
     engine_options.run_threads = run_threads_resolved[i];
     if (spec.use_kernel) {
       // The compile runs once per spec on this thread; its span lands in the
@@ -686,6 +698,7 @@ std::vector<SpecResult> BatchRunner::run(
         // Auto picked fluid on size alone; fall back one tier.
         backend = EngineKind::kDenseBatched;
         backends[i] = backend;
+        dispatch[i] = "auto:fluid-compile-fallback";
       }
     }
     if (backend != EngineKind::kAgentArray && backend != EngineKind::kFluid) {
@@ -814,8 +827,6 @@ std::vector<SpecResult> BatchRunner::run(
     }
   };
 
-  // `threads` (the outer pool width) was resolved with the inner budget,
-  // before the engines were built.
   const auto snapshot_progress = [&]() {
     BatchProgress progress;
     progress.trials_done = trials_done.load(std::memory_order_relaxed);
@@ -914,6 +925,7 @@ std::vector<SpecResult> BatchRunner::run(
     result.manifest = base_manifest;
     result.manifest.spec = specs[i].to_string();
     result.manifest.backend = sim::to_string(result.backend_resolved);
+    result.manifest.dispatch = dispatch[i];
     if (result.kernel_compiled) {
       result.manifest.kernel = kernel::to_string(result.kernel_stats.kind);
     }

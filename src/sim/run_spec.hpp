@@ -69,12 +69,15 @@ enum class EngineKind {
   /// dense::DenseEngine, per-step mode: a lumpable scheduler (uniform or
   /// clustered — see pp::Scheduler::lumping) simulated directly on per-state
   /// counts, one count vector per urn; O(present states) per interaction,
-  /// O(num_urns * num_states) memory, exact silence detection.
+  /// O(num_urns * num_states) memory, exact silence detection. The reference
+  /// semantics of the cross-validation tests; auto never picks it, because
+  /// kDenseBatched samples the same chain faster at every measured n.
   kDense,
   /// dense::DenseEngine, batched mode: collision-free epochs of ~sqrt(n)
-  /// interactions advanced with hypergeometric draws per urn-pair block —
-  /// the scaling backend for n >= 10^6. Lumpable schedulers only, like
-  /// kDense.
+  /// interactions advanced with hypergeometric draws per urn-pair block,
+  /// plus geometric fast-forward through null-dominated phases — the
+  /// count-level workhorse from kAutoDenseMinN up to the fluid tier.
+  /// Lumpable schedulers only, like kDense.
   kDenseBatched,
   /// fluid::FluidEngine: the lumped count chain integrated as a mean-field
   /// ODE (adaptive embedded RK pair, rtol/atol via RunSpec::rtol/atol),
@@ -82,20 +85,23 @@ enum class EngineKind {
   /// cost independent of n — the n >= 1e9 tier. Lumpable schedulers only,
   /// like the dense backends.
   kFluid,
-  /// Resolved per spec by the BatchRunner: fluid for lumpable schedulers at
-  /// huge n, dense_batched at large n, dense at moderate n, agent otherwise
-  /// (agent-only features, non-lumpable schedulers, tiny n, or num_states >
-  /// n). The resolution lands in SpecResult::backend_resolved.
+  /// Resolved per spec by the BatchRunner along the ladder agent ->
+  /// dense_batched -> fluid: agent for agent-only features, non-lumpable
+  /// schedulers, num_states > n or n < kAutoDenseMinN; fluid for lumpable
+  /// schedulers at n >= kAutoFluidMinN; dense_batched for every lumpable
+  /// spec in between. The pick lands in SpecResult::backend_resolved and
+  /// the reason in SpecResult::manifest.dispatch.
   kAuto,
 };
 
-/// Auto-dispatch thresholds: below kAutoDenseMinN the agent array is at
-/// least as fast and strictly more featureful; above kAutoBatchedMinN the
-/// sqrt(n) epochs beat per-step count sampling; above kAutoFluidMinN the
-/// mean-field model error O(1/sqrt(n)) drops below the discrete chain's own
+/// Auto-dispatch thresholds, both inclusive. kAutoDenseMinN is the measured
+/// agent/dense_batched crossover (`bench_throughput --dispatch`, committed
+/// as BENCH_dispatch.json): below it the agent array ties the batched
+/// engine and is strictly more featureful; from it on, dense_batched wins on
+/// uniform and clustered schedulers alike. At kAutoFluidMinN the mean-field
+/// model error O(1/sqrt(n)) drops below the discrete chain's own
 /// trial-to-trial noise and the ODE costs nothing as n grows.
-inline constexpr std::uint64_t kAutoDenseMinN = 128;
-inline constexpr std::uint64_t kAutoBatchedMinN = 8192;
+inline constexpr std::uint64_t kAutoDenseMinN = 64;
 inline constexpr std::uint64_t kAutoFluidMinN = 100'000'000;
 
 /// Parses "agent", "dense", "dense_batched", "fluid", "auto".
@@ -144,9 +150,9 @@ struct RunSpec {
   EngineKind backend = EngineKind::kAgentArray;
 
   /// Worker threads INSIDE each trial's run (dense backends only; feeds
-  /// pp::EngineOptions::run_threads). 0 (default) lets the BatchRunner
-  /// budget: trials get the whole machine via outer parallelism when there
-  /// are enough of them, otherwise leftover cores go inside the runs. Any
+  /// pp::EngineOptions::run_threads). 0 (default) runs serially: the pooled
+  /// multi-urn epoch stages cost more in fan-out latency than they spread
+  /// on the measured 4-core boxes, so they run only when asked for. Any
   /// other value pins the inner width; results are bitwise identical for
   /// every value. Rendered as a "threads=" token when non-zero. The outer
   /// across-trial knob is BatchOptions::threads (sweep --threads).

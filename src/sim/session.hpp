@@ -148,8 +148,8 @@ class SessionBuilder {
     return *this;
   }
   /// Worker threads INSIDE each trial's run (dense backends; see
-  /// RunSpec::run_threads). 0 = let the BatchRunner budget inner vs outer;
-  /// results are bitwise identical for every value.
+  /// RunSpec::run_threads). 0 = serial, the default; results are bitwise
+  /// identical for every value.
   SessionBuilder& run_threads(std::uint32_t threads) {
     spec_.run_threads = threads;
     return *this;

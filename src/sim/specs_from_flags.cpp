@@ -79,9 +79,9 @@ SweepSpecs specs_from_flags(util::Cli& cli, const SweepFlagDefaults& defaults) {
       "budget", defaults.budget, "interaction budget (0 = engine default)");
   const auto run_threads = cli.int_flag(
       "run-threads", 0,
-      "worker threads INSIDE each run (dense backends; 0 = auto-budget "
-      "against the outer --threads pool; results are bitwise identical for "
-      "every value)");
+      "worker threads INSIDE each run (multi-urn dense_batched epochs; "
+      "0 = serial, the default; results are bitwise identical for every "
+      "value)");
 
   require_non_negative("k", ks);
   require_non_negative("n", ns);

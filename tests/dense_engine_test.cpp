@@ -731,8 +731,13 @@ TEST(AutoBackendTest, ResolvesFromSchedulerSizeAndFeatures) {
     return result.backend_resolved;
   };
 
-  // Lumpable + moderate n -> dense per-step.
-  EXPECT_EQ(resolve([](sim::RunSpec&) {}), sim::EngineKind::kDense);
+  // Lumpable + moderate n -> batched (per-step dense is never auto's pick;
+  // the threshold is inclusive).
+  EXPECT_EQ(resolve([](sim::RunSpec&) {}), sim::EngineKind::kDenseBatched);
+  EXPECT_EQ(resolve([](sim::RunSpec& s) { s.n = sim::kAutoDenseMinN; }),
+            sim::EngineKind::kDenseBatched);
+  EXPECT_EQ(resolve([](sim::RunSpec& s) { s.n = sim::kAutoDenseMinN - 1; }),
+            sim::EngineKind::kAgentArray);
   // Large n -> batched; clustered is lumpable too.
   EXPECT_EQ(resolve([](sim::RunSpec& s) { s.n = 10000; }),
             sim::EngineKind::kDenseBatched);
@@ -783,6 +788,42 @@ TEST(AutoBackendTest, ResolvesFromSchedulerSizeAndFeatures) {
               s.n = 200;
             }),
             sim::EngineKind::kAgentArray);
+}
+
+TEST(AutoBackendTest, MatchesExplicitBatchedBitwiseWithProbes) {
+  // Auto resolves to dense_batched here, so the same spec must produce the
+  // same trials and probe envelopes, to the bit, as naming it explicitly.
+  sim::RunSpec spec = sim::RunSpec::parse(
+      "circles(k=3) n=4096 workload=dominant:0.5 scheduler=uniform trials=4 "
+      "backend=auto trace=energy@log:256");
+  spec.seed = 11;
+  sim::RunSpec batched = spec;
+  batched.backend = sim::EngineKind::kDenseBatched;
+  const sim::SpecResult a = sim::BatchRunner().run_one(spec);
+  const sim::SpecResult b = sim::BatchRunner().run_one(batched);
+  EXPECT_EQ(a.backend_resolved, sim::EngineKind::kDenseBatched);
+  EXPECT_EQ(a.manifest.dispatch, "auto:lumpable");
+  EXPECT_EQ(b.manifest.dispatch, "explicit");
+  ASSERT_EQ(a.trials.size(), b.trials.size());
+  for (std::size_t t = 0; t < a.trials.size(); ++t) {
+    SCOPED_TRACE(t);
+    const pp::RunResult& ra = a.trials[t].outcome.run;
+    const pp::RunResult& rb = b.trials[t].outcome.run;
+    EXPECT_EQ(a.trials[t].seed, b.trials[t].seed);
+    EXPECT_TRUE(a.trials[t].outcome.correct);
+    EXPECT_EQ(a.trials[t].outcome.correct, b.trials[t].outcome.correct);
+    EXPECT_EQ(ra.interactions, rb.interactions);
+    EXPECT_EQ(ra.state_changes, rb.state_changes);
+    EXPECT_EQ(ra.final_outputs, rb.final_outputs);
+    ASSERT_EQ(a.trials[t].traces.size(), 1u);
+    EXPECT_EQ(a.trials[t].traces[0].columns, b.trials[t].traces[0].columns);
+    EXPECT_EQ(a.trials[t].traces[0].data, b.trials[t].traces[0].data);
+  }
+  ASSERT_EQ(a.trace_envelopes.size(), 1u);
+  ASSERT_EQ(b.trace_envelopes.size(), 1u);
+  EXPECT_FALSE(a.trace_envelopes[0].empty());
+  EXPECT_EQ(a.trace_envelopes[0].columns, b.trace_envelopes[0].columns);
+  EXPECT_EQ(a.trace_envelopes[0].data, b.trace_envelopes[0].data);
 }
 
 TEST(AutoBackendTest, ExplicitBackendsReportThemselves) {

@@ -232,6 +232,7 @@ TEST(ManifestTest, ToJsonRoundTrip) {
   metrics::RunManifest manifest = metrics::RunManifest::collect();
   manifest.spec = "circles(k=3) n=100 \"quoted\"";
   manifest.backend = "dense";
+  manifest.dispatch = "auto:lumpable";
   manifest.kernel = "dense";
   manifest.seed = 42;
   manifest.trials = 5;
@@ -240,6 +241,7 @@ TEST(ManifestTest, ToJsonRoundTrip) {
   EXPECT_NE(json.find("\"spec\":\"circles(k=3) n=100 \\\"quoted\\\"\""),
             std::string::npos);
   EXPECT_NE(json.find("\"backend\":\"dense\""), std::string::npos);
+  EXPECT_NE(json.find("\"dispatch\":\"auto:lumpable\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\":42"), std::string::npos);
   EXPECT_NE(json.find("\"trials\":5"), std::string::npos);
   EXPECT_NE(json.find("\"threads\":2"), std::string::npos);
@@ -371,6 +373,39 @@ TEST(MetricsBatchTest, TrialLatencySummaryFilled) {
   EXPECT_FALSE(result.manifest.finished_utc.empty());
 }
 
+TEST(MetricsBatchTest, ManifestRecordsDispatchReason) {
+  const auto dispatch = [](auto&& mutate) {
+    sim::RunSpec spec = small_spec(sim::EngineKind::kAuto, 500);
+    spec.trials = 1;
+    spec.engine.max_interactions = 20000;
+    mutate(spec);
+    return sim::BatchRunner().run_one(spec).manifest.dispatch;
+  };
+  EXPECT_EQ(dispatch([](sim::RunSpec& s) {
+              s.backend = sim::EngineKind::kDense;
+            }),
+            "explicit");
+  EXPECT_EQ(dispatch([](sim::RunSpec&) {}), "auto:lumpable");
+  EXPECT_EQ(dispatch([](sim::RunSpec& s) { s.track_used_states = true; }),
+            "auto:agent-only-feature");
+  EXPECT_EQ(dispatch([](sim::RunSpec& s) {
+              s.scheduler = pp::SchedulerKind::kRoundRobin;
+            }),
+            "auto:non-lumpable");
+  EXPECT_EQ(dispatch([](sim::RunSpec& s) {
+              s.params.k = 8;  // 512 states
+              s.n = 300;
+            }),
+            "auto:states>n");
+  EXPECT_EQ(dispatch([](sim::RunSpec& s) { s.n = 32; }), "auto:n<min");
+  EXPECT_EQ(dispatch([](sim::RunSpec& s) {
+              // Fixed counts: no O(n) input generation at the fluid tier.
+              s.workload = sim::WorkloadSpec::explicit_counts(
+                  {50'000'000, 30'000'000, 20'000'000});
+            }),
+            "auto:fluid");
+}
+
 TEST(MetricsBatchTest, MetricsOutWritesSinkAndManifest) {
   const std::string sink = testing::TempDir() + "/cell_metrics.jsonl";
   const std::string manifest = testing::TempDir() + "/cell_metrics.manifest.json";
@@ -385,6 +420,8 @@ TEST(MetricsBatchTest, MetricsOutWritesSinkAndManifest) {
 
   const std::string manifest_text = slurp(manifest);
   EXPECT_NE(manifest_text.find("\"backend\":\"agent\""), std::string::npos);
+  EXPECT_NE(manifest_text.find("\"dispatch\":\"explicit\""),
+            std::string::npos);
   EXPECT_NE(manifest_text.find("\"trials\":3"), std::string::npos);
   EXPECT_EQ(manifest_text, result.manifest.to_json() + "\n");
 

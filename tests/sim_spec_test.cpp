@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "sim/batch_runner.hpp"
 #include "sim/specs_from_flags.hpp"
 #include "util/cli.hpp"
 
@@ -488,6 +489,27 @@ TEST(SpecsFromFlagsTest, ClusteredDenseCellsAreKeptAndShaped) {
   ASSERT_EQ(sized_sweep.specs.size(), 1u);
   EXPECT_EQ(sized_sweep.specs[0].cluster_sizes,
             (std::vector<std::uint64_t>{40, 20}));
+}
+
+TEST(RunThreadsTest, InnerWidthIsSerialUnlessPinned) {
+  // One trial leaves every core but one idle, yet the inner pool stays off
+  // by default: only an explicit threads= token turns it on.
+  RunSpec spec = RunSpec::parse(
+      "circles(k=3) n=2000 workload=dominant:0.5 scheduler=clustered "
+      "clusters=4 trials=1 backend=dense_batched");
+  spec.seed = 3;
+  const SpecResult serial = BatchRunner().run_one(spec);
+  EXPECT_EQ(serial.manifest.threads, 1u);
+  EXPECT_EQ(serial.manifest.run_threads, 1u);
+
+  spec.run_threads = 4;
+  const SpecResult pinned = BatchRunner().run_one(spec);
+  EXPECT_EQ(pinned.manifest.run_threads, 4u);
+  // A pure wall-clock knob: the trial itself is bitwise unchanged.
+  EXPECT_EQ(pinned.trials[0].outcome.run.interactions,
+            serial.trials[0].outcome.run.interactions);
+  EXPECT_EQ(pinned.trials[0].outcome.run.final_outputs,
+            serial.trials[0].outcome.run.final_outputs);
 }
 
 TEST(SchedulerLumpingTest, ReflectsSpecSchedulerAndShape) {
