@@ -225,13 +225,9 @@ int main(int argc, char** argv) {
       "dispatch", false,
       "run only the dispatch calibration section (agent vs dense_batched "
       "crossover for backend=auto; write it with --json=BENCH_dispatch.json)");
-  const auto dispatch_trials = static_cast<std::uint32_t>(cli.int_flag(
-      "dispatch_trials", smoke ? 4 : 200,
-      "runs-to-silence per dispatch calibration cell up to n=512 "
-      "(scaled by (512/n)^2 above, at least 8)"));
-  const auto dispatch_max_n = static_cast<std::uint64_t>(cli.int_flag(
-      "dispatch_max_n", smoke ? 256 : 4096,
-      "largest n of the dispatch calibration (doubling from 16)"));
+  // Dispatch calibration size: trials per cell up to n=512, largest n.
+  const std::uint32_t dispatch_trials = smoke ? 4 : 200;
+  const std::uint64_t dispatch_max_n = smoke ? 256 : 4096;
   const auto seed =
       static_cast<std::uint64_t>(cli.int_flag("seed", 2, "rng seed"));
   const bool progress = cli.bool_flag(
@@ -266,9 +262,10 @@ int main(int argc, char** argv) {
                   (dispatch_only ? " --dispatch" : "") +
                   (smoke ? " --smoke" : "");
   manifest.backend = "mixed";
+  manifest.dispatch = "explicit";  // every cell names its backend
   manifest.kernel = "per-spec";
   manifest.seed = seed;
-  manifest.trials = trials;
+  manifest.trials = dispatch_only ? dispatch_trials : trials;
   manifest.threads = batch.threads;
   manifest.run_threads = run_threads_flag;
   const auto t_program = Clock::now();

@@ -279,6 +279,7 @@ int main(int argc, char** argv) {
     metrics::RunManifest manifest = metrics::RunManifest::collect();
     manifest.spec = smoke ? "exp_scaling --smoke" : "exp_scaling";
     manifest.backend = "mixed";
+    manifest.dispatch = "explicit";  // every cell names its backend
     manifest.kernel = "per-spec";
     manifest.seed = seed;
     manifest.trials = trials;
