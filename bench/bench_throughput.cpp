@@ -17,7 +17,6 @@
 #include "exp_common.hpp"
 #include "kernel/compiled_protocol.hpp"
 #include "metrics/metrics.hpp"
-#include "pp/transition_cache.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -327,15 +326,6 @@ int main(int argc, char** argv) {
           .set("protocol", c.protocol)
           .set("k", static_cast<std::uint64_t>(c.k))
           .set("ops_per_sec", rate);
-    }
-    // Dense transition caching: the pairwise baseline's transitions decode
-    // O(k^2) digits; the cached variant is one array load.
-    {
-      const auto base = registry.create("pairwise_plurality", {.k = 4});
-      pp::CachedProtocol cached(*base);
-      table.add_row({"pairwise k=4 (cached)",
-                     util::Table::num(transitions_per_second(cached, calls),
-                                      0)});
     }
     table.print("raw transition-function throughput");
   }

@@ -86,10 +86,7 @@ int main(int argc, char** argv) try {
           "resolved one in); backend=auto would leave the engine choice to "
           "the batch runner");
     }
-    const auto protocol =
-        sim::ProtocolRegistry::global().create(spec.protocol, spec.params);
-    const sim::TrialRecord rec =
-        sim::BatchRunner::execute_trial(*protocol, spec, seed);
+    const sim::TrialRecord rec = sim::BatchRunner::execute_trial(spec, seed);
     bench::print_header("SWEEP REPRO",
                         "seed-exact single-trial replay of a REPRO line");
     std::printf("spec: %s\n", spec.to_string().c_str());

@@ -1,11 +1,10 @@
 // CompiledProtocol: one transition IR shared by every engine.
 //
 // Every simulated interaction used to pay a virtual Protocol::transition()
-// call, and each engine worked around it differently (pp::CachedProtocol in
-// the benches, a private table inside DenseEngine, nothing at all in
-// Gillespie and the model checker). This module lowers a pp::Protocol ONCE
-// into an immutable, thread-shareable kernel carrying everything the hot
-// loops need:
+// call, and each engine worked around it differently (a private table inside
+// DenseEngine, nothing at all in Gillespie and the model checker). This
+// module lowers a pp::Protocol ONCE into an immutable, thread-shareable
+// kernel carrying everything the hot loops need:
 //
 //  * the transition function itself, virtual-dispatch-free;
 //  * per-pair flags — null-ness (exact silence detection) and whether the
@@ -54,8 +53,8 @@ std::string to_string(TableKind kind);
 
 struct CompileOptions {
   /// Largest ordered-pair count lowered to a dense table; above it the
-  /// kernel switches to the sparse cache. The default (2^22 entries, 36 MiB
-  /// of table) matches the historical pp::CachedProtocol budget.
+  /// kernel switches to the sparse cache. The default is 2^22 entries
+  /// (36 MiB of table).
   std::uint64_t max_dense_entries = 1ull << 22;
 
   /// Slot capacity of the sparse pair cache (rounded up to a power of two).

@@ -128,6 +128,439 @@ AutoDispatch auto_dispatch(std::uint64_t n, std::uint64_t num_states,
   return {EngineKind::kDenseBatched, "auto:lumpable"};
 }
 
+/// One spec, set up once and shared by all of its trials: the validated
+/// protocol, its kernel, the concrete backend and, on the count backends,
+/// the engine every trial runs on. BatchRunner::run and the standalone
+/// replay both build it through prepare(), so a REPRO line replays on
+/// exactly the engine the batch ran.
+struct PreparedSpec {
+  std::unique_ptr<pp::Protocol> protocol;
+  /// Compiled once per spec; null iff spec.use_kernel is off.
+  std::shared_ptr<const kernel::CompiledProtocol> kernel;
+  EngineKind backend = EngineKind::kAgentArray;  // never kAuto
+  const char* dispatch = "explicit";             // RunManifest::dispatch
+  /// Set iff backend is kDense or kDenseBatched; run() is const/thread-safe.
+  std::unique_ptr<dense::DenseEngine> dense;
+  /// Set iff backend is kFluid; run() is const/thread-safe.
+  std::unique_ptr<fluid::FluidEngine> fluid;
+  /// spec.engine with the spec's registry and tracer injected (never
+  /// overriding caller-provided ones) and the inner width resolved.
+  pp::EngineOptions engine;
+  /// The registry and tracer the batch routes this spec's telemetry to.
+  metrics::MetricsRegistry* metrics = nullptr;
+  trace::Tracer* tracer = nullptr;
+  std::uint64_t seed = 0;  // spec seed (BatchRunner::run only)
+};
+
+/// Validates `spec` (every error names the fix), resolves backend=auto,
+/// compiles the kernel and builds the count engine. Throws
+/// std::invalid_argument for a spec no backend can run.
+PreparedSpec prepare(const RunSpec& spec, const ProtocolRegistry& registry,
+                     metrics::MetricsRegistry* metrics,
+                     trace::Tracer* tracer) {
+  const auto reject = [&](const std::string& what) {
+    throw std::invalid_argument("RunSpec '" + spec.to_string() + "'" + what);
+  };
+  if (spec.trials == 0) reject(" needs trials >= 1");
+  if (spec.effective_n() < 2) reject(" needs a population of >= 2 agents");
+  PreparedSpec prepared;
+  prepared.metrics = metrics;
+  prepared.tracer = tracer;
+  prepared.protocol = registry.create(spec.protocol, spec.params);
+  const pp::Protocol& protocol = *prepared.protocol;
+  if (spec.workload.family == WorkloadSpec::Family::kExplicit &&
+      spec.workload.counts.size() != protocol.num_colors()) {
+    reject(" fixes " + std::to_string(spec.workload.counts.size()) +
+           " per-color counts but protocol '" + spec.protocol + "' has k=" +
+           std::to_string(protocol.num_colors()) + " colors");
+  }
+  if (spec.circles_stats &&
+      dynamic_cast<const core::CirclesProtocol*>(&protocol) == nullptr) {
+    throw std::invalid_argument(
+        "circles_stats requested for non-circles protocol '" + spec.protocol +
+        "'");
+  }
+  for (const obs::ProbeSpec& probe_spec : spec.probes) {
+    // Probe/protocol mismatches (e.g. an energy probe on a weightless
+    // protocol) fail here, naming the spec, instead of inside a worker.
+    try {
+      (void)obs::make_probe(probe_spec, protocol);
+    } catch (const std::invalid_argument& e) {
+      reject(std::string(": ") + e.what());
+    }
+  }
+  if (spec.chemical_time &&
+      (spec.circles_stats || spec.track_used_states ||
+       spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory)) {
+    reject(
+        " combines chemical_time with engine-only features "
+        "(circles_stats / track_used_states / reboot_faults / grader / "
+        "scheduler_factory)");
+  }
+  if ((spec.clusters != 0 || !spec.cluster_sizes.empty()) &&
+      spec.scheduler != pp::SchedulerKind::kClustered) {
+    reject(" sets clusters= but its scheduler is '" +
+           pp::to_string(spec.scheduler) +
+           "'; the cluster shape belongs to scheduler=clustered");
+  }
+  if ((spec.rtol != 0.0 || spec.atol != 0.0) &&
+      spec.backend != EngineKind::kFluid &&
+      spec.backend != EngineKind::kAuto) {
+    reject(
+        " sets rtol/atol, which are fluid-integrator tolerances, on "
+        "backend=" + sim::to_string(spec.backend) +
+        "; use backend=fluid (or backend=auto) or drop the tolerances");
+  }
+  if (spec.rtol < 0.0 || spec.atol < 0.0) {
+    reject(" sets a negative fluid-integrator tolerance (rtol=" +
+           std::to_string(spec.rtol) + ", atol=" + std::to_string(spec.atol) +
+           "); tolerances must be positive (0 = engine default)");
+  }
+
+  // Resolve the concrete backend (auto ladder: see auto_dispatch).
+  const bool agent_only_features =
+      spec.circles_stats || spec.track_used_states ||
+      spec.reboot_faults > 0 || static_cast<bool>(spec.grader) ||
+      static_cast<bool>(spec.scheduler_factory) || spec.chemical_time;
+  std::optional<pp::UrnLumping> lumping;
+  if (spec.backend != EngineKind::kAgentArray && !agent_only_features) {
+    try {
+      lumping = scheduler_lumping(spec, &protocol);
+    } catch (const std::invalid_argument& e) {
+      reject(std::string(": ") + e.what());
+    }
+  }
+  prepared.backend = spec.backend;
+  if (spec.backend == EngineKind::kAuto) {
+    const AutoDispatch pick =
+        auto_dispatch(spec.effective_n(), protocol.num_states(),
+                      agent_only_features, lumping.has_value());
+    prepared.backend = pick.backend;
+    prepared.dispatch = pick.reason;
+  }
+
+  if (prepared.backend != EngineKind::kAgentArray) {
+    // The dense backends have no agent array. Count-level probes
+    // (spec.probes) run on every backend; the checks below single out
+    // what genuinely cannot be expressed on counts, each with its own
+    // message so the fix is obvious.
+    if (spec.circles_stats || spec.track_used_states) {
+      reject(
+          " requests pp::Monitor-based instrumentation (circles_stats / "
+          "track_used_states), which needs the agent backend's "
+          "per-interaction events; dense backends observe runs through "
+          "count-level snapshots — attach an obs::Probe via "
+          "RunSpec::probes (trace=...) instead");
+    }
+    if (spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory) {
+      reject(
+          " addresses individual agents (reboot_faults / grader / "
+          "scheduler_factory), which the dense count representation "
+          "cannot express; use backend=agent, or backend=auto to pick a "
+          "backend per spec");
+    }
+    if (spec.chemical_time && prepared.backend == EngineKind::kFluid) {
+      reject(
+          " combines chemical_time with the fluid backend; the fluid "
+          "trajectory already advances the chemical clock (trace= "
+          "probes record the chemical_time column), but the Gillespie "
+          "stabilization/convergence statistics ride the agent engine's "
+          "event stream — use backend=agent for those");
+    }
+    if (spec.chemical_time) {
+      reject(
+          " combines chemical_time with a dense backend; the Gillespie "
+          "clock rides the agent engine's event stream — use "
+          "backend=agent (count probes still record chemical-time "
+          "cadence there)");
+    }
+    if (!lumping.has_value()) {
+      reject(" requests backend=" + sim::to_string(spec.backend) +
+             " with scheduler '" + pp::to_string(spec.scheduler) +
+             "', which has no exact count-level lumping "
+             "(count-simulable schedulers: uniform, clustered); use "
+             "backend=agent for this scheduler, or backend=auto to pick a "
+             "backend per spec");
+    }
+  }
+
+  pp::EngineOptions& engine = prepared.engine;
+  engine = spec.engine;
+  if (engine.metrics == nullptr) engine.metrics = metrics;
+  if (engine.tracer == nullptr) engine.tracer = tracer;
+  engine.run_threads = std::max(spec.run_threads, 1u);
+  if (spec.use_kernel) {
+    // The compile runs once per spec on this thread; its span lands in the
+    // spec's own timeline so build time is visibly separate from trials.
+    const trace::ScopedSpan compile_span(trace::buffer(engine.tracer),
+                                         "kernel.compile");
+    kernel::CompileOptions compile_options;
+    // Sparse-cache hit counting costs one relaxed fetch_add per lookup on
+    // THE hot path of sparse kernels; only pay it when someone is looking.
+    compile_options.count_sparse_hits = engine.metrics != nullptr;
+    prepared.kernel = std::make_shared<const kernel::CompiledProtocol>(
+        protocol, compile_options);
+  }
+  if (prepared.backend == EngineKind::kFluid) {
+    fluid::FluidOptions fluid_options;
+    if (spec.rtol > 0.0) fluid_options.rtol = spec.rtol;
+    if (spec.atol > 0.0) fluid_options.atol = spec.atol;
+    try {
+      prepared.fluid =
+          spec.use_kernel
+              ? std::make_unique<fluid::FluidEngine>(
+                    prepared.kernel, engine, fluid_options, *lumping)
+              : std::make_unique<fluid::FluidEngine>(
+                    protocol, engine, fluid_options, *lumping);
+    } catch (const std::invalid_argument& e) {
+      // The drift-table compile refuses protocols whose input-state
+      // closure is too wide for the mean-field representation.
+      if (spec.backend != EngineKind::kAuto) {
+        reject(std::string(": ") + e.what());
+      }
+      // Auto picked fluid on size alone; fall back one tier.
+      prepared.backend = EngineKind::kDenseBatched;
+      prepared.dispatch = "auto:fluid-compile-fallback";
+    }
+  }
+  if (prepared.backend == EngineKind::kDense ||
+      prepared.backend == EngineKind::kDenseBatched) {
+    const dense::DenseMode mode = prepared.backend == EngineKind::kDenseBatched
+                                      ? dense::DenseMode::kBatched
+                                      : dense::DenseMode::kPerStep;
+    prepared.dense =
+        spec.use_kernel
+            ? std::make_unique<dense::DenseEngine>(prepared.kernel, engine,
+                                                   mode, *lumping)
+            : std::make_unique<dense::DenseEngine>(protocol, engine, mode,
+                                                   /*use_kernel=*/false,
+                                                   *lumping);
+  }
+  return prepared;
+}
+
+/// The count backends' trial body. The engine runs on a seed split off the
+/// head of the trial stream (the agent path spends that head on the color
+/// shuffle, which counts have no use for); clustered trials then spend the
+/// continuing stream on the urn split, the count-level image of that
+/// shuffle. A dense and a fluid trial of one seed therefore start from
+/// identical configurations.
+template <typename Engine>
+pp::RunResult run_counts(const Engine& engine, const pp::Protocol& protocol,
+                         const analysis::Workload& workload,
+                         std::uint64_t trial_seed, obs::Recorder* recorder) {
+  util::Rng rng(trial_seed);
+  const std::uint64_t engine_seed = rng.split()();
+  if (engine.lumping().num_urns() > 1) {
+    dense::UrnConfig config = dense::UrnConfig::from_workload(
+        protocol, workload, engine.lumping().sizes, rng);
+    return engine.run(config, engine_seed, recorder);
+  }
+  dense::DenseConfig config =
+      dense::DenseConfig::from_workload(protocol, workload);
+  return engine.run(config, engine_seed, recorder);
+}
+
+/// Runs one (spec, trial) job on a prepared spec.
+TrialRecord run_prepared_trial(const PreparedSpec& prepared,
+                               const RunSpec& spec,
+                               std::uint64_t trial_seed) {
+  const pp::Protocol& protocol = *prepared.protocol;
+  const pp::EngineOptions& engine_options = prepared.engine;
+  const kernel::CompiledProtocol* kernel = prepared.kernel.get();
+  TrialRecord rec;
+  rec.seed = trial_seed;
+
+  // Trial wall clock: stamped on every return path via RAII, so latency
+  // quantiles cover dense/fluid, chemical and agent trials alike.
+  struct WallClock {
+    TrialRecord& rec;
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    ~WallClock() { rec.wall_ms = elapsed_ms(start); }
+  } wall_clock{rec};
+
+  // One span per trial, on whichever worker thread runs it; engines nest
+  // their own spans inside. Registers the thread on first use so batch
+  // workers get distinct named tracks in the exported timeline.
+  const trace::ScopedSpan trial_span(
+      trace::buffer(engine_options.tracer, "trial-worker"), "batch.trial");
+  util::Rng workload_rng(mix_seed(trial_seed, kWorkloadSalt));
+  rec.workload =
+      spec.workload.materialize(workload_rng, spec.n, protocol.num_colors());
+  CIRCLES_CHECK_MSG(rec.workload.k() == protocol.num_colors(),
+                    "workload color count does not match the protocol");
+
+  std::optional<pp::OutputSymbol> expected;
+  if (spec.grading == Grading::kTieAware) {
+    const auto winner = rec.workload.winner();
+    // Tie-handling protocols place their TIE symbol at index k.
+    expected = winner.has_value() ? *winner : protocol.num_colors();
+  }
+
+  // Probe pipeline, shared by every backend: one recorder per trial, one
+  // probe instance per spec entry, traces collected onto the record.
+  std::vector<std::unique_ptr<obs::Probe>> probe_objects;
+  std::optional<obs::Recorder> recorder;
+  if (!spec.probes.empty()) {
+    obs::RecorderOptions recorder_options;
+    recorder_options.interaction_horizon = spec.engine.max_interactions;
+    recorder_options.tracer = engine_options.tracer;
+    if (spec.chemical_time) {
+      recorder_options.clock = obs::RecorderOptions::Clock::kChemical;
+      recorder_options.chemical_horizon =
+          static_cast<double>(spec.engine.max_interactions) /
+          static_cast<double>(std::max<std::uint64_t>(rec.workload.n(), 1));
+    }
+    recorder.emplace(recorder_options);
+    // ConvergenceProbe grades against the same target symbol the trial
+    // grading uses: the tie-aware expectation when set, else the workload's
+    // unique plurality winner.
+    std::optional<pp::OutputSymbol> target = expected;
+    if (!target.has_value()) {
+      if (const auto winner = rec.workload.winner()) target = *winner;
+    }
+    for (const obs::ProbeSpec& probe_spec : spec.probes) {
+      probe_objects.push_back(obs::make_probe(probe_spec, protocol, target));
+      recorder->add(probe_objects.back().get(), probe_spec.grid);
+    }
+  }
+  obs::Recorder* const trial_recorder = recorder ? &*recorder : nullptr;
+  const auto collect_traces = [&]() {
+    if (!recorder.has_value()) return;
+    rec.traces.reserve(probe_objects.size());
+    for (const auto& probe : probe_objects) {
+      rec.traces.push_back(probe->take_table());
+    }
+  };
+
+  if (prepared.dense != nullptr || prepared.fluid != nullptr) {
+    const pp::RunResult run =
+        prepared.fluid != nullptr
+            ? run_counts(*prepared.fluid, protocol, rec.workload, trial_seed,
+                         trial_recorder)
+            : run_counts(*prepared.dense, protocol, rec.workload, trial_seed,
+                         trial_recorder);
+    rec.outcome = grade_run(run, rec.workload, expected);
+    collect_traces();
+    return rec;
+  }
+
+  // The RNG consumption order below (colors, then one split for the
+  // scheduler/gillespie seed) matches sim::run_trial exactly, so a RunSpec
+  // trial with seed s reproduces run_trial(..., {.seed = s}) bit for bit.
+  util::Rng rng(trial_seed);
+  const auto colors = rec.workload.agent_colors(rng);
+  CIRCLES_CHECK_MSG(colors.size() >= 2, "trials need at least two agents");
+  const auto n = static_cast<std::uint32_t>(colors.size());
+  const std::uint64_t derived_seed = rng.split()();
+
+  if (spec.chemical_time) {
+    const crn::GillespieResult result =
+        kernel != nullptr
+            ? crn::run_gillespie(*kernel, colors, derived_seed, engine_options,
+                                 trial_recorder)
+            : crn::run_gillespie_virtual(protocol, colors, derived_seed,
+                                         engine_options, trial_recorder);
+    rec.outcome = grade_run(result.run, rec.workload, expected);
+    rec.stabilization_time = result.stabilization_time;
+    rec.convergence_time = result.convergence_time;
+    collect_traces();
+    return rec;
+  }
+
+  // prepare() has checked that circles_stats names the circles protocol.
+  const auto* circles =
+      spec.circles_stats
+          ? dynamic_cast<const core::CirclesProtocol*>(&protocol)
+          : nullptr;
+
+  std::optional<core::CirclesBraKetView> view;
+  std::optional<core::KetExchangeCounter> exchange_counter;
+  std::optional<core::BraKetInvariantMonitor> invariant;
+  std::optional<core::PotentialDescentMonitor> potential;
+  UsedStatesMonitor used_states;
+  std::vector<pp::Monitor*> monitors;
+  if (circles != nullptr) {
+    view.emplace(*circles);
+    exchange_counter.emplace(*view);
+    invariant.emplace(*view);
+    potential.emplace(*view);
+    monitors.insert(monitors.end(),
+                    {&*exchange_counter, &*invariant, &*potential});
+  }
+  if (spec.track_used_states) monitors.push_back(&used_states);
+
+  pp::Population population(protocol, colors);
+  const pp::ClusteredOptions clustered = spec.clustered_options();
+  auto scheduler =
+      spec.scheduler_factory
+          ? spec.scheduler_factory(n, derived_seed)
+          : pp::make_scheduler(spec.scheduler, n, derived_seed, &protocol,
+                               &clustered);
+
+  // The count pipeline rides the monitor list; probes wrapping legacy
+  // monitors (Probe::as_monitor) see the raw event stream next to it.
+  std::optional<obs::RecorderMonitor> recorder_monitor;
+  if (recorder.has_value()) {
+    recorder_monitor.emplace(*recorder, kernel);
+    monitors.push_back(&*recorder_monitor);
+    for (obs::Probe* probe : recorder->probes()) {
+      if (pp::Monitor* monitor = probe->as_monitor()) {
+        monitors.push_back(monitor);
+      }
+    }
+  }
+  const std::span<pp::Monitor* const> monitor_span(monitors.data(),
+                                                   monitors.size());
+
+  const auto run_engine = [&](const pp::EngineOptions& engine_options) {
+    pp::Engine engine(engine_options);
+    if (kernel != nullptr) {
+      return engine.run(*kernel, population, *scheduler, monitor_span);
+    }
+    return engine.run_virtual(protocol, population, *scheduler, monitor_span);
+  };
+
+  // Transient-fault injection: run in bursts; after each burst reboot one
+  // random agent to its input state (it keeps its reading, loses its
+  // working memory).
+  for (std::uint32_t f = 0; f < spec.reboot_faults; ++f) {
+    pp::EngineOptions burst = engine_options;
+    burst.max_interactions =
+        spec.fault_burst_min +
+        (spec.fault_burst_span ? rng.uniform_below(spec.fault_burst_span) : 0);
+    burst.stop_when_silent = false;
+    (void)run_engine(burst);
+    const auto victim = static_cast<pp::AgentId>(rng.uniform_below(n));
+    population.set_state(victim, protocol.input(colors[victim]));
+  }
+
+  const pp::RunResult run = run_engine(engine_options);
+  rec.outcome = grade_run(run, rec.workload, expected);
+  if (spec.grader) {
+    rec.outcome.correct =
+        spec.grader(protocol, rec.workload,
+                    std::span<const pp::ColorId>(colors), population, run);
+  }
+
+  if (circles != nullptr) {
+    rec.ket_exchanges = exchange_counter->exchanges();
+    rec.diagonal_creations = exchange_counter->diagonal_creations();
+    rec.diagonal_destructions = exchange_counter->diagonal_destructions();
+    rec.braket_invariant_violations = invariant->violations();
+    rec.potential_descent_violations = potential->descent_violations();
+    rec.scalar_energy_increases = potential->scalar_energy_increases();
+    rec.decomposition_matches =
+        core::verify_decomposition(population, *circles, rec.workload.counts)
+            .matches;
+  }
+  if (spec.track_used_states) rec.used_states = used_states.used();
+  collect_traces();
+  return rec;
+}
+
+
 void aggregate(SpecResult& result, bool keep_trials) {
   result.trial_count = static_cast<std::uint32_t>(result.trials.size());
   std::vector<double> interactions, state_changes, exchanges, stabilization,
@@ -193,250 +626,11 @@ void aggregate(SpecResult& result, bool keep_trials) {
 BatchRunner::BatchRunner(BatchOptions options, const ProtocolRegistry& registry)
     : options_(options), registry_(&registry) {}
 
-TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
-                                       const RunSpec& spec,
-                                       std::uint64_t trial_seed,
-                                       const kernel::CompiledProtocol* kernel,
-                                       const dense::DenseEngine* dense_engine,
-                                       EngineKind backend_resolved,
-                                       const fluid::FluidEngine* fluid_engine,
-                                       metrics::MetricsRegistry* metrics,
-                                       trace::Tracer* tracer) {
-  const EngineKind backend = backend_resolved == EngineKind::kAuto
-                                 ? spec.backend
-                                 : backend_resolved;
-  CIRCLES_CHECK_MSG(backend != EngineKind::kAuto,
-                    "execute_trial needs a concrete backend; backend=auto "
-                    "specs are resolved by BatchRunner::run");
-  TrialRecord rec;
-  rec.seed = trial_seed;
-
-  // Trial wall clock: stamped on every return path via RAII, so latency
-  // quantiles cover dense/fluid, chemical and agent trials alike.
-  struct WallClock {
-    TrialRecord& rec;
-    std::chrono::steady_clock::time_point start =
-        std::chrono::steady_clock::now();
-    ~WallClock() { rec.wall_ms = elapsed_ms(start); }
-  } wall_clock{rec};
-
-  // Engine options actually used: the spec's, with the caller's registry
-  // injected unless the spec already routes to one. This copy never touches
-  // the fields the prebuilt-engine consistency checks compare.
-  pp::EngineOptions engine_options = spec.engine;
-  if (engine_options.metrics == nullptr) engine_options.metrics = metrics;
-  if (engine_options.tracer == nullptr) engine_options.tracer = tracer;
-
-  // One span per trial, on whichever worker thread runs it; engines nest
-  // their own spans inside. Registers the thread on first use so batch
-  // workers get distinct named tracks in the exported timeline.
-  const trace::ScopedSpan trial_span(
-      trace::buffer(engine_options.tracer, "trial-worker"), "batch.trial");
-  // An explicit per-spec inner width overrides the engine default; 0 keeps
-  // whatever the options carry (1 when locally built, or the budgeted width
-  // BatchRunner::run baked into a prebuilt dense engine).
-  if (spec.run_threads > 0) engine_options.run_threads = spec.run_threads;
-  util::Rng workload_rng(mix_seed(trial_seed, kWorkloadSalt));
-  rec.workload =
-      spec.workload.materialize(workload_rng, spec.n, protocol.num_colors());
-  CIRCLES_CHECK_MSG(rec.workload.k() == protocol.num_colors(),
-                    "workload color count does not match the protocol");
-
-  std::optional<pp::OutputSymbol> expected;
-  if (spec.grading == Grading::kTieAware) {
-    const auto winner = rec.workload.winner();
-    // Tie-handling protocols place their TIE symbol at index k.
-    expected = winner.has_value() ? *winner : protocol.num_colors();
-  }
-
-  // Probe pipeline, shared by every backend: one recorder per trial, one
-  // probe instance per spec entry, traces collected onto the record.
-  std::vector<std::unique_ptr<obs::Probe>> probe_objects;
-  std::optional<obs::Recorder> recorder;
-  if (!spec.probes.empty()) {
-    obs::RecorderOptions recorder_options;
-    recorder_options.interaction_horizon = spec.engine.max_interactions;
-    recorder_options.tracer = engine_options.tracer;
-    if (spec.chemical_time) {
-      recorder_options.clock = obs::RecorderOptions::Clock::kChemical;
-      recorder_options.chemical_horizon =
-          static_cast<double>(spec.engine.max_interactions) /
-          static_cast<double>(std::max<std::uint64_t>(rec.workload.n(), 1));
-    }
-    recorder.emplace(recorder_options);
-    // ConvergenceProbe grades against the same target symbol the trial
-    // grading uses: the tie-aware expectation when set, else the workload's
-    // unique plurality winner.
-    std::optional<pp::OutputSymbol> target = expected;
-    if (!target.has_value()) {
-      if (const auto winner = rec.workload.winner()) target = *winner;
-    }
-    for (const obs::ProbeSpec& probe_spec : spec.probes) {
-      probe_objects.push_back(obs::make_probe(probe_spec, protocol, target));
-      recorder->add(probe_objects.back().get(), probe_spec.grid);
-    }
-  }
-  const auto collect_traces = [&]() {
-    if (!recorder.has_value()) return;
-    rec.traces.reserve(probe_objects.size());
-    for (const auto& probe : probe_objects) {
-      rec.traces.push_back(probe->take_table());
-    }
-  };
-
-  if (backend != EngineKind::kAgentArray) {
-    TrialOptions options;
-    options.seed = trial_seed;
-    options.engine = engine_options;
-    options.scheduler = spec.scheduler;
-    options.clustered = spec.clustered_options();
-    options.kernel = kernel;
-    options.use_kernel = spec.use_kernel;
-    options.recorder = recorder.has_value() ? &*recorder : nullptr;
-    if (backend == EngineKind::kFluid) {
-      options.rtol = spec.rtol;
-      options.atol = spec.atol;
-      rec.outcome = run_fluid_trial(protocol, rec.workload, options, expected,
-                                    fluid_engine);
-    } else {
-      rec.outcome =
-          run_dense_trial(protocol, rec.workload, options,
-                          backend == EngineKind::kDenseBatched, expected,
-                          dense_engine);
-    }
-    collect_traces();
-    return rec;
-  }
-
-  // The RNG consumption order below (colors, then one split for the
-  // scheduler/gillespie seed) matches sim::run_trial exactly, so a RunSpec
-  // trial with seed s reproduces run_trial(..., {.seed = s}) bit for bit.
-  util::Rng rng(trial_seed);
-  const auto colors = rec.workload.agent_colors(rng);
-  CIRCLES_CHECK_MSG(colors.size() >= 2, "trials need at least two agents");
-  const auto n = static_cast<std::uint32_t>(colors.size());
-  const std::uint64_t derived_seed = rng.split()();
-
-  if (spec.chemical_time) {
-    obs::Recorder* chem_recorder = recorder.has_value() ? &*recorder : nullptr;
-    crn::GillespieResult result;
-    if (kernel != nullptr) {
-      result = crn::run_gillespie(*kernel, colors, derived_seed,
-                                  engine_options, chem_recorder);
-    } else if (spec.use_kernel) {
-      result = crn::run_gillespie(protocol, colors, derived_seed,
-                                  engine_options, chem_recorder);
-    } else {
-      result = crn::run_gillespie_virtual(protocol, colors, derived_seed,
-                                          engine_options, chem_recorder);
-    }
-    rec.outcome = grade_run(result.run, rec.workload, expected);
-    rec.stabilization_time = result.stabilization_time;
-    rec.convergence_time = result.convergence_time;
-    collect_traces();
-    return rec;
-  }
-
-  const auto* circles =
-      spec.circles_stats
-          ? dynamic_cast<const core::CirclesProtocol*>(&protocol)
-          : nullptr;
-  CIRCLES_CHECK_MSG(!spec.circles_stats || circles != nullptr,
-                    "circles_stats requires the circles protocol");
-
-  std::optional<core::CirclesBraKetView> view;
-  std::optional<core::KetExchangeCounter> exchange_counter;
-  std::optional<core::BraKetInvariantMonitor> invariant;
-  std::optional<core::PotentialDescentMonitor> potential;
-  UsedStatesMonitor used_states;
-  std::vector<pp::Monitor*> monitors;
-  if (circles != nullptr) {
-    view.emplace(*circles);
-    exchange_counter.emplace(*view);
-    invariant.emplace(*view);
-    potential.emplace(*view);
-    monitors.insert(monitors.end(),
-                    {&*exchange_counter, &*invariant, &*potential});
-  }
-  if (spec.track_used_states) monitors.push_back(&used_states);
-
-  pp::Population population(protocol, colors);
-  const pp::ClusteredOptions clustered = spec.clustered_options();
-  auto scheduler =
-      spec.scheduler_factory
-          ? spec.scheduler_factory(n, derived_seed)
-          : pp::make_scheduler(spec.scheduler, n, derived_seed, &protocol,
-                               &clustered);
-
-  // One kernel for all engine invocations of this trial (the fault bursts
-  // below re-enter the engine): the spec's shared kernel when provided, a
-  // one-shot compile otherwise, or none at all on the legacy virtual path.
-  std::optional<kernel::CompiledProtocol> local_kernel;
-  const kernel::CompiledProtocol* trial_kernel = kernel;
-  if (spec.use_kernel && trial_kernel == nullptr) {
-    local_kernel.emplace(protocol, kernel::CompileOptions::one_shot());
-    trial_kernel = &*local_kernel;
-  }
-
-  // The count pipeline rides the monitor list; probes wrapping legacy
-  // monitors (Probe::as_monitor) see the raw event stream next to it.
-  std::optional<obs::RecorderMonitor> recorder_monitor;
-  if (recorder.has_value()) {
-    recorder_monitor.emplace(*recorder, trial_kernel);
-    monitors.push_back(&*recorder_monitor);
-    for (obs::Probe* probe : recorder->probes()) {
-      if (pp::Monitor* monitor = probe->as_monitor()) {
-        monitors.push_back(monitor);
-      }
-    }
-  }
-  const std::span<pp::Monitor* const> monitor_span(monitors.data(),
-                                                   monitors.size());
-
-  const auto run_engine = [&](const pp::EngineOptions& engine_options) {
-    pp::Engine engine(engine_options);
-    if (trial_kernel != nullptr) {
-      return engine.run(*trial_kernel, population, *scheduler, monitor_span);
-    }
-    return engine.run_virtual(protocol, population, *scheduler, monitor_span);
-  };
-
-  // Transient-fault injection: run in bursts; after each burst reboot one
-  // random agent to its input state (it keeps its reading, loses its
-  // working memory).
-  for (std::uint32_t f = 0; f < spec.reboot_faults; ++f) {
-    pp::EngineOptions burst = engine_options;
-    burst.max_interactions =
-        spec.fault_burst_min +
-        (spec.fault_burst_span ? rng.uniform_below(spec.fault_burst_span) : 0);
-    burst.stop_when_silent = false;
-    (void)run_engine(burst);
-    const auto victim = static_cast<pp::AgentId>(rng.uniform_below(n));
-    population.set_state(victim, protocol.input(colors[victim]));
-  }
-
-  const pp::RunResult run = run_engine(engine_options);
-  rec.outcome = grade_run(run, rec.workload, expected);
-  if (spec.grader) {
-    rec.outcome.correct =
-        spec.grader(protocol, rec.workload,
-                    std::span<const pp::ColorId>(colors), population, run);
-  }
-
-  if (circles != nullptr) {
-    rec.ket_exchanges = exchange_counter->exchanges();
-    rec.diagonal_creations = exchange_counter->diagonal_creations();
-    rec.diagonal_destructions = exchange_counter->diagonal_destructions();
-    rec.braket_invariant_violations = invariant->violations();
-    rec.potential_descent_violations = potential->descent_violations();
-    rec.scalar_energy_increases = potential->scalar_energy_increases();
-    rec.decomposition_matches =
-        core::verify_decomposition(population, *circles, rec.workload.counts)
-            .matches;
-  }
-  if (spec.track_used_states) rec.used_states = used_states.used();
-  collect_traces();
-  return rec;
+TrialRecord BatchRunner::execute_trial(const RunSpec& spec,
+                                       std::uint64_t trial_seed) {
+  const PreparedSpec prepared =
+      prepare(spec, ProtocolRegistry::global(), nullptr, nullptr);
+  return run_prepared_trial(prepared, spec, trial_seed);
 }
 
 std::vector<SpecResult> BatchRunner::run(
@@ -452,284 +646,52 @@ std::vector<SpecResult> BatchRunner::run(
   const metrics::RunManifest base_manifest = metrics::RunManifest::collect();
 
   std::vector<SpecResult> results(specs.size());
-  std::vector<std::unique_ptr<pp::Protocol>> protocols;
-  protocols.reserve(specs.size());
-  // Telemetry registry per spec: the batch-wide one from BatchOptions,
-  // overridden by a private registry for specs that want their own sink
-  // file (spec.metrics_out). A spec.engine.metrics set by the caller always
-  // wins inside execute_trial.
+  std::vector<PreparedSpec> prepared;
+  prepared.reserve(specs.size());
+  // Telemetry per spec: the batch-wide registry and tracer from
+  // BatchOptions, overridden by private ones for specs that want their own
+  // sink files (spec.metrics_out, spec.spans_out; the tracer is written as
+  // Chrome-trace JSON at the end of run()). A spec.engine.metrics or
+  // spec.engine.tracer set by the caller always wins inside the engines.
   std::vector<std::unique_ptr<metrics::MetricsRegistry>> owned_registries(
       specs.size());
-  std::vector<metrics::MetricsRegistry*> spec_metrics(specs.size(),
-                                                      options_.metrics);
-  // Span tracer per spec, same override scheme: the batch-wide tracer from
-  // BatchOptions, or a private Tracer for specs with their own spans_out
-  // file (written as Chrome-trace JSON at the end of run()). A
-  // spec.engine.tracer set by the caller always wins inside execute_trial.
   std::vector<std::unique_ptr<trace::Tracer>> owned_tracers(specs.size());
-  std::vector<trace::Tracer*> spec_tracers(specs.size(), options_.tracer);
-  // Per-spec compiled kernels: each spec's protocol is lowered exactly once
-  // and the immutable kernel is shared by every trial on every thread.
-  std::vector<std::shared_ptr<const kernel::CompiledProtocol>> kernels(
-      specs.size());
-  // Per-spec dense engines: built over the shared kernel (or the virtual
-  // path when the spec turns kernels off); DenseEngine::run is
-  // const/thread-safe.
-  std::vector<std::unique_ptr<dense::DenseEngine>> dense_engines(specs.size());
-  // Per-spec fluid engines, same sharing contract (the drift table is
-  // compiled once); FluidEngine::run is const/thread-safe.
-  std::vector<std::unique_ptr<fluid::FluidEngine>> fluid_engines(specs.size());
-  std::vector<std::uint64_t> spec_seeds(specs.size());
-  // Concrete backend per spec: spec.backend, with kAuto resolved from the
-  // scheduler's lumpability, the population size and the state count.
-  std::vector<EngineKind> backends(specs.size(), EngineKind::kAgentArray);
-
-  // Why each spec runs where it does (RunManifest::dispatch).
-  std::vector<const char*> dispatch(specs.size(), "explicit");
-
-  // Outer across-trial pool width: the machine, capped by the job count
-  // (trials parallelize perfectly). The inner width is serial unless a spec
-  // pins run_threads: the pooled multi-urn epoch stages measured slower than
-  // serial on real cores (their fan-out latency exceeds the per-epoch work),
-  // so leftover cores are not moved inside the runs. Results are bitwise
-  // identical under every split — this is purely a wall-clock decision.
-  std::size_t total_jobs = 0;
-  for (const RunSpec& spec : specs) total_jobs += spec.trials;
-  std::uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  std::uint32_t threads = options_.threads == 0 ? hw : options_.threads;
-  threads = static_cast<std::uint32_t>(std::min<std::size_t>(
-      threads, std::max<std::size_t>(total_jobs, 1)));
-  std::vector<std::uint32_t> run_threads_resolved(specs.size(), 1);
-
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const RunSpec& spec = specs[i];
-    if (spec.trials == 0) {
-      throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                  "' needs trials >= 1");
-    }
-    if (spec.effective_n() < 2) {
-      throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                  "' needs a population of >= 2 agents");
-    }
-    auto protocol = registry_->create(spec.protocol, spec.params);
-    if (spec.workload.family == WorkloadSpec::Family::kExplicit &&
-        spec.workload.counts.size() != protocol->num_colors()) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() + "' fixes " +
-          std::to_string(spec.workload.counts.size()) +
-          " per-color counts but protocol '" + spec.protocol + "' has k=" +
-          std::to_string(protocol->num_colors()) + " colors");
-    }
-    if (spec.circles_stats &&
-        dynamic_cast<const core::CirclesProtocol*>(protocol.get()) ==
-            nullptr) {
-      throw std::invalid_argument(
-          "circles_stats requested for non-circles protocol '" +
-          spec.protocol + "'");
-    }
-    for (const obs::ProbeSpec& probe_spec : spec.probes) {
-      // Probe/protocol mismatches (e.g. an energy probe on a weightless
-      // protocol) fail here, naming the spec, instead of inside a worker.
-      try {
-        (void)obs::make_probe(probe_spec, *protocol);
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                    "': " + e.what());
-      }
-    }
-    if (spec.chemical_time &&
-        (spec.circles_stats || spec.track_used_states ||
-         spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory)) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' combines chemical_time with engine-only features "
-          "(circles_stats / track_used_states / reboot_faults / grader / "
-          "scheduler_factory)");
-    }
-    if ((spec.clusters != 0 || !spec.cluster_sizes.empty()) &&
-        spec.scheduler != pp::SchedulerKind::kClustered) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' sets clusters= but its scheduler is '" +
-          pp::to_string(spec.scheduler) +
-          "'; the cluster shape belongs to scheduler=clustered");
-    }
-    if ((spec.rtol != 0.0 || spec.atol != 0.0) &&
-        spec.backend != EngineKind::kFluid &&
-        spec.backend != EngineKind::kAuto) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' sets rtol/atol, which are fluid-integrator tolerances, on "
-          "backend=" + sim::to_string(spec.backend) +
-          "; use backend=fluid (or backend=auto) or drop the tolerances");
-    }
-    if (spec.rtol < 0.0 || spec.atol < 0.0) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' sets a negative fluid-integrator tolerance (rtol=" +
-          std::to_string(spec.rtol) + ", atol=" + std::to_string(spec.atol) +
-          "); tolerances must be positive (0 = engine default)");
-    }
-
-    // Resolve the concrete backend (auto ladder: see auto_dispatch).
-    const bool agent_only_features =
-        spec.circles_stats || spec.track_used_states ||
-        spec.reboot_faults > 0 || static_cast<bool>(spec.grader) ||
-        static_cast<bool>(spec.scheduler_factory) || spec.chemical_time;
-    std::optional<pp::UrnLumping> lumping;
-    if (spec.backend != EngineKind::kAgentArray && !agent_only_features) {
-      try {
-        lumping = scheduler_lumping(spec, protocol.get());
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                    "': " + e.what());
-      }
-    }
-    EngineKind backend = spec.backend;
-    if (backend == EngineKind::kAuto) {
-      const AutoDispatch pick =
-          auto_dispatch(spec.effective_n(), protocol->num_states(),
-                        agent_only_features, lumping.has_value());
-      backend = pick.backend;
-      dispatch[i] = pick.reason;
-    }
-    backends[i] = backend;
-
-    if (backend != EngineKind::kAgentArray) {
-      // The dense backends have no agent array. Count-level probes
-      // (spec.probes) run on every backend; the checks below single out
-      // what genuinely cannot be expressed on counts, each with its own
-      // message so the fix is obvious.
-      if (spec.circles_stats || spec.track_used_states) {
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() +
-            "' requests pp::Monitor-based instrumentation (circles_stats / "
-            "track_used_states), which needs the agent backend's "
-            "per-interaction events; dense backends observe runs through "
-            "count-level snapshots — attach an obs::Probe via "
-            "RunSpec::probes (trace=...) instead");
-      }
-      if (spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory) {
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() +
-            "' addresses individual agents (reboot_faults / grader / "
-            "scheduler_factory), which the dense count representation "
-            "cannot express; use backend=agent, or backend=auto to pick a "
-            "backend per spec");
-      }
-      if (spec.chemical_time) {
-        if (backend == EngineKind::kFluid) {
-          throw std::invalid_argument(
-              "RunSpec '" + spec.to_string() +
-              "' combines chemical_time with the fluid backend; the fluid "
-              "trajectory already advances the chemical clock (trace= "
-              "probes record the chemical_time column), but the Gillespie "
-              "stabilization/convergence statistics ride the agent engine's "
-              "event stream — use backend=agent for those");
-        }
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() +
-            "' combines chemical_time with a dense backend; the Gillespie "
-            "clock rides the agent engine's event stream — use "
-            "backend=agent (count probes still record chemical-time "
-            "cadence there)");
-      }
-      if (!lumping.has_value()) {
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() + "' requests backend=" +
-            sim::to_string(spec.backend) + " with scheduler '" +
-            pp::to_string(spec.scheduler) +
-            "', which has no exact count-level lumping "
-            "(count-simulable schedulers: uniform, clustered); use "
-            "backend=agent for this scheduler, or backend=auto to pick a "
-            "backend per spec");
-      }
-    }
-    if (!spec.metrics_out.empty()) {
-      owned_registries[i] = std::make_unique<metrics::MetricsRegistry>();
-      spec_metrics[i] = owned_registries[i].get();
-    }
-    if (!spec.spans_out.empty()) {
-      owned_tracers[i] = std::make_unique<trace::Tracer>();
-      spec_tracers[i] = owned_tracers[i].get();
-    }
-    // Engine options for the per-spec engines: the spec's, with this spec's
-    // registry and tracer injected (never overriding caller-provided ones).
-    pp::EngineOptions engine_options = spec.engine;
-    if (engine_options.metrics == nullptr) {
-      engine_options.metrics = spec_metrics[i];
-    }
-    if (engine_options.tracer == nullptr) {
-      engine_options.tracer = spec_tracers[i];
-    }
-    run_threads_resolved[i] = std::max(spec.run_threads, 1u);
-    engine_options.run_threads = run_threads_resolved[i];
-    if (spec.use_kernel) {
-      // The compile runs once per spec on this thread; its span lands in the
-      // spec's own timeline so build time is visibly separate from trials.
-      const trace::ScopedSpan compile_span(
-          trace::buffer(engine_options.tracer), "kernel.compile");
-      kernel::CompileOptions compile_options;
-      // Sparse-cache hit counting costs one relaxed fetch_add per lookup on
-      // THE hot path of sparse kernels; only pay it when someone is looking.
-      compile_options.count_sparse_hits = engine_options.metrics != nullptr;
-      kernels[i] = std::make_shared<const kernel::CompiledProtocol>(
-          *protocol, compile_options);
-    }
-    if (backend == EngineKind::kFluid) {
-      fluid::FluidOptions fluid_options;
-      if (spec.rtol > 0.0) fluid_options.rtol = spec.rtol;
-      if (spec.atol > 0.0) fluid_options.atol = spec.atol;
-      try {
-        fluid_engines[i] =
-            spec.use_kernel
-                ? std::make_unique<fluid::FluidEngine>(
-                      kernels[i], engine_options, fluid_options, *lumping)
-                : std::make_unique<fluid::FluidEngine>(
-                      *protocol, engine_options, fluid_options, *lumping);
-      } catch (const std::invalid_argument& e) {
-        // The drift-table compile refuses protocols whose input-state
-        // closure is too wide for the mean-field representation.
-        if (spec.backend != EngineKind::kAuto) {
-          throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                      "': " + e.what());
-        }
-        // Auto picked fluid on size alone; fall back one tier.
-        backend = EngineKind::kDenseBatched;
-        backends[i] = backend;
-        dispatch[i] = "auto:fluid-compile-fallback";
-      }
-    }
-    if (backend != EngineKind::kAgentArray && backend != EngineKind::kFluid) {
-      const dense::DenseMode mode = backend == EngineKind::kDenseBatched
-                                        ? dense::DenseMode::kBatched
-                                        : dense::DenseMode::kPerStep;
-      dense_engines[i] =
-          spec.use_kernel
-              ? std::make_unique<dense::DenseEngine>(kernels[i], engine_options,
-                                                     mode, *lumping)
-              : std::make_unique<dense::DenseEngine>(*protocol, engine_options,
-                                                     mode, /*use_kernel=*/false,
-                                                     *lumping);
-    }
-    protocols.push_back(std::move(protocol));
-    spec_seeds[i] = spec_seed(spec, options_.base_seed, i);
-    results[i].spec = spec;
-    results[i].backend_resolved = backend;
-    results[i].trials.resize(spec.trials);
-  }
-
   struct Job {
     std::uint32_t spec;
     std::uint32_t trial;
   };
   std::vector<Job> jobs;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    for (std::uint32_t t = 0; t < specs[i].trials; ++t) {
+    const RunSpec& spec = specs[i];
+    if (!spec.metrics_out.empty()) {
+      owned_registries[i] = std::make_unique<metrics::MetricsRegistry>();
+    }
+    if (!spec.spans_out.empty()) {
+      owned_tracers[i] = std::make_unique<trace::Tracer>();
+    }
+    prepared.push_back(prepare(
+        spec, *registry_,
+        owned_registries[i] ? owned_registries[i].get() : options_.metrics,
+        owned_tracers[i] ? owned_tracers[i].get() : options_.tracer));
+    prepared[i].seed = spec_seed(spec, options_.base_seed, i);
+    results[i].spec = spec;
+    results[i].backend_resolved = prepared[i].backend;
+    results[i].trials.resize(spec.trials);
+    for (std::uint32_t t = 0; t < spec.trials; ++t) {
       jobs.push_back({static_cast<std::uint32_t>(i), t});
     }
   }
+  // Outer across-trial pool width: the machine, capped by the job count
+  // (trials parallelize perfectly). The inner width is serial unless a spec
+  // pins run_threads: the pooled multi-urn epoch stages measured slower than
+  // serial on real cores (their fan-out latency exceeds the per-epoch work),
+  // so leftover cores are not moved inside the runs. Results are bitwise
+  // identical under every split — this is purely a wall-clock decision.
+  std::uint32_t hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = 1;
+  std::uint32_t threads = options_.threads == 0 ? hw : options_.threads;
+  threads = static_cast<std::uint32_t>(std::min<std::size_t>(
+      threads, std::max<std::size_t>(jobs.size(), 1)));
   const double setup_ms = elapsed_ms(batch_start);
   if (batch_tb != nullptr) batch_tb->end("batch.setup");
 
@@ -737,19 +699,14 @@ std::vector<SpecResult> BatchRunner::run(
   // the run/aggregate phase spans are emitted into each from this thread,
   // so every exported timeline carries the phase regions its trials nest
   // under.
-  std::vector<trace::Tracer*> phase_tracers;
-  for (trace::Tracer* tracer : spec_tracers) {
-    if (tracer != nullptr &&
-        std::find(phase_tracers.begin(), phase_tracers.end(), tracer) ==
-            phase_tracers.end()) {
-      phase_tracers.push_back(tracer);
-    }
+  std::vector<trace::Tracer*> phase_tracers{options_.tracer};
+  for (const PreparedSpec& spec : prepared) {
+    phase_tracers.push_back(spec.tracer);
   }
-  if (options_.tracer != nullptr &&
-      std::find(phase_tracers.begin(), phase_tracers.end(),
-                options_.tracer) == phase_tracers.end()) {
-    phase_tracers.push_back(options_.tracer);
-  }
+  std::sort(phase_tracers.begin(), phase_tracers.end());
+  phase_tracers.erase(std::unique(phase_tracers.begin(), phase_tracers.end()),
+                      phase_tracers.end());
+  std::erase(phase_tracers, nullptr);
   const auto phase_begin = [&](const char* name) {
     for (trace::Tracer* tracer : phase_tracers) {
       tracer->thread_buffer()->begin(name);
@@ -784,25 +741,22 @@ std::vector<SpecResult> BatchRunner::run(
       const std::size_t index = cursor.fetch_add(1);
       if (index >= jobs.size()) break;
       const Job job = jobs[index];
-      trace::Tracer* tracer = spec_tracers[job.spec];
-      const std::uint64_t seed = trial_seed(spec_seeds[job.spec], job.trial);
+      const PreparedSpec& spec = prepared[job.spec];
+      trace::Tracer* tracer = spec.tracer;
+      const std::uint64_t seed = trial_seed(spec.seed, job.trial);
       // Flight-recorder dump on any failed trial when a tracer is attached
       // (gating on the tracer keeps by-design-failing experiments quiet).
       const auto dump = [&](const TrialRecord* rec, std::string reason = {}) {
         if (tracer == nullptr) return;
         trace::FailureContext ctx = failure_context(
-            specs[job.spec], backends[job.spec], job.trial, seed, rec);
+            specs[job.spec], spec.backend, job.trial, seed, rec);
         if (!reason.empty()) ctx.reason = std::move(reason);
         tracer->dump_failure(ctx, stderr);
       };
       try {
         TrialRecord& rec = results[job.spec].trials[job.trial];
-        rec = execute_trial(*protocols[job.spec], specs[job.spec], seed,
-                            kernels[job.spec].get(),
-                            dense_engines[job.spec].get(), backends[job.spec],
-                            fluid_engines[job.spec].get(),
-                            spec_metrics[job.spec], tracer);
-        metrics::record_ms(spec_metrics[job.spec], "batch.trial", rec.wall_ms);
+        rec = run_prepared_trial(spec, specs[job.spec], seed);
+        metrics::record_ms(spec.metrics, "batch.trial", rec.wall_ms);
         if (!rec.outcome.correct || rec.outcome.run.budget_exhausted) {
           dump(&rec);
         }
@@ -882,11 +836,11 @@ std::vector<SpecResult> BatchRunner::run(
   phase_begin("batch.aggregate");
   const auto aggregate_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (kernels[i] != nullptr) {
+    if (prepared[i].kernel != nullptr) {
       results[i].kernel_compiled = true;
       // Snapshot after all trials: a sparse kernel's materialization
       // counters have settled by now.
-      results[i].kernel_stats = kernels[i]->stats();
+      results[i].kernel_stats = prepared[i].kernel->stats();
     }
   }
   for (SpecResult& result : results) aggregate(result, options_.keep_trials);
@@ -925,20 +879,20 @@ std::vector<SpecResult> BatchRunner::run(
     result.manifest = base_manifest;
     result.manifest.spec = specs[i].to_string();
     result.manifest.backend = sim::to_string(result.backend_resolved);
-    result.manifest.dispatch = dispatch[i];
+    result.manifest.dispatch = prepared[i].dispatch;
     if (result.kernel_compiled) {
       result.manifest.kernel = kernel::to_string(result.kernel_stats.kind);
     }
-    result.manifest.seed = spec_seeds[i];
+    result.manifest.seed = prepared[i].seed;
     result.manifest.trials = specs[i].trials;
     result.manifest.threads = threads;
-    result.manifest.run_threads = run_threads_resolved[i];
+    result.manifest.run_threads = prepared[i].engine.run_threads;
     result.manifest.utilization = utilization;
     result.manifest.finished_utc = finished;
     result.manifest.wall_ms =
         result.trial_ms.mean * static_cast<double>(result.trial_ms.count);
 
-    metrics::MetricsRegistry* m = spec_metrics[i];
+    metrics::MetricsRegistry* m = prepared[i].metrics;
     if (m != nullptr && result.kernel_compiled) {
       const kernel::CompileStats& stats = result.kernel_stats;
       m->timer("kernel.build").record_ms(stats.build_ms);

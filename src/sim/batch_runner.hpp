@@ -18,14 +18,6 @@
 #include "sim/run_spec.hpp"
 #include "util/stats.hpp"
 
-namespace circles::dense {
-class DenseEngine;
-}
-
-namespace circles::fluid {
-class FluidEngine;
-}
-
 namespace circles::metrics {
 class MetricsRegistry;
 }
@@ -191,29 +183,13 @@ class BatchRunner {
 
   const BatchOptions& options() const { return options_; }
 
-  /// Executes a single (spec, trial) job. Exposed for tests; `protocol`
-  /// must match spec.protocol/params. `kernel` is the spec's shared
-  /// compiled protocol (null: one-shot compile per trial, or the virtual
-  /// path when spec.use_kernel is off). `dense_engine` is an optional
-  /// per-spec engine for dense backends (built once by run() so the
-  /// transition table is shared across trials); when null, a dense trial
-  /// builds its own. `fluid_engine` plays the same per-spec role for the
-  /// fluid backend (shared drift table). `backend_resolved` is the concrete
-  /// backend to run (kAuto = "use spec.backend", which must then itself be
-  /// concrete — run() resolves auto specs before dispatching here).
-  /// `metrics`, when non-null, receives the trial's engine counters (unless
-  /// spec.engine.metrics already names a registry, which wins). `tracer`
-  /// plays the same role for spans (spec.engine.tracer wins); this is the
-  /// entry point REPRO lines replay through (sweep --spec/--trial-seed).
-  static TrialRecord execute_trial(
-      const pp::Protocol& protocol, const RunSpec& spec,
-      std::uint64_t trial_seed,
-      const kernel::CompiledProtocol* kernel = nullptr,
-      const dense::DenseEngine* dense_engine = nullptr,
-      EngineKind backend_resolved = EngineKind::kAuto,
-      const fluid::FluidEngine* fluid_engine = nullptr,
-      metrics::MetricsRegistry* metrics = nullptr,
-      trace::Tracer* tracer = nullptr);
+  /// Replays one (spec, trial) job from its exact trial seed, as REPRO
+  /// lines do (sweep --spec/--trial-seed). The spec is set up exactly as
+  /// run() sets it up — same validation, auto dispatch, kernel and engine —
+  /// so the replay is bitwise identical to the batch trial, and a spec run()
+  /// rejects throws the same std::invalid_argument here.
+  static TrialRecord execute_trial(const RunSpec& spec,
+                                   std::uint64_t trial_seed);
 
  private:
   BatchOptions options_;

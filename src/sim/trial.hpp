@@ -1,9 +1,8 @@
-// Single-trial execution: build population from workload, run, grade.
-//
-// This is the execution core of the circles::sim session API. The historical
-// entry points analysis::run_trial / analysis::run_circles_trial are thin
-// aliases over this layer, so all call sites — tests, examples, experiment
-// binaries and the BatchRunner — share one implementation.
+// Single-trial execution on the agent array: build the population from a
+// workload, run, grade. The BatchRunner's agent trials follow the same RNG
+// stream order, so a RunSpec trial with seed s reproduces run_trial with
+// {.seed = s} bit for bit; spec-level runs on any backend (and REPRO
+// replays) go through sim::BatchRunner.
 #pragma once
 
 #include <cstdint>
@@ -16,14 +15,6 @@
 #include "core/circles_protocol.hpp"
 #include "pp/engine.hpp"
 #include "pp/scheduler.hpp"
-
-namespace circles::dense {
-class DenseEngine;
-}
-
-namespace circles::fluid {
-class FluidEngine;
-}
 
 namespace circles::kernel {
 class CompiledProtocol;
@@ -48,25 +39,18 @@ struct TrialOptions {
   /// When set, overrides `scheduler`.
   SchedulerFactory scheduler_factory;
   /// Clustered-scheduler shape, consumed only when `scheduler` is
-  /// kClustered (by the agent engine's scheduler and by the dense urn
-  /// engine's lumping alike).
+  /// kClustered.
   pp::ClusteredOptions clustered;
-  /// Prebuilt kernel for the trial's protocol (the BatchRunner compiles one
-  /// per spec and shares it across trials/threads). Null: a one-shot kernel
-  /// is compiled per trial.
+  /// Prebuilt kernel for the trial's protocol, shareable across trials and
+  /// threads. Null: a one-shot kernel is compiled per trial.
   const kernel::CompiledProtocol* kernel = nullptr;
   /// false = legacy virtual-dispatch interaction loop (the bench baseline);
   /// bitwise-identical results, slower wall clock. Ignores `kernel`.
   bool use_kernel = true;
-  /// Fluid-backend integrator tolerances (run_fluid_trial only); 0 = the
-  /// FluidOptions defaults.
-  double rtol = 0.0;
-  double atol = 0.0;
   /// Count-level observation (obs::): when set, the trial attaches an
-  /// obs::RecorderMonitor on the agent backend (plus any probe's
-  /// as_monitor() escape hatch) or hands the recorder to the dense engine,
-  /// so one probe pipeline observes every backend. Never perturbs the
-  /// trial's RNG streams — results are bitwise identical with or without.
+  /// obs::RecorderMonitor (plus any probe's as_monitor() escape hatch).
+  /// Never perturbs the trial's RNG streams — results are bitwise identical
+  /// with or without.
   obs::Recorder* recorder = nullptr;
 };
 
@@ -107,38 +91,6 @@ TrialOutcome run_trial_keep_population(
 TrialOutcome grade_run(const pp::RunResult& run,
                        const analysis::Workload& workload,
                        std::optional<pp::OutputSymbol> expected_symbol = {});
-
-/// Count-based trial: builds a dense configuration from the workload (no
-/// agent array, so n is bounded by memory for counts, not agents), runs the
-/// dense engine under the options' scheduler semantics, and grades the
-/// outcome exactly like run_trial. Lumpable schedulers only: uniform runs
-/// on a single count vector, clustered partitions the workload into urns
-/// (per options.clustered) and simulates the exact lumped block chain.
-/// `batched` selects DenseMode::kBatched. Rejects options carrying
-/// agent-level features (non-lumpable scheduler or a scheduler_factory).
-/// `engine`, when non-null, must be a DenseEngine built from
-/// (protocol, options.engine, batched) with the matching lumping — the
-/// BatchRunner passes one per spec so the transition table is not rebuilt
-/// per trial.
-TrialOutcome run_dense_trial(const pp::Protocol& protocol,
-                             const analysis::Workload& workload,
-                             const TrialOptions& options, bool batched,
-                             std::optional<pp::OutputSymbol> expected_symbol = {},
-                             const dense::DenseEngine* engine = nullptr);
-
-/// Mean-field trial: builds the same workload configuration run_dense_trial
-/// would (identical RNG consumption, so the two backends see identical
-/// per-trial workloads and urn splits), integrates it with the
-/// fluid::FluidEngine and grades the outcome the same way. Same scheduler
-/// restrictions as the dense trials (lumpable only). `engine`, when
-/// non-null, must be a FluidEngine built from (protocol, options.engine,
-/// tolerances) with the matching lumping — the BatchRunner passes one per
-/// spec so the drift table is not recompiled per trial.
-TrialOutcome run_fluid_trial(const pp::Protocol& protocol,
-                             const analysis::Workload& workload,
-                             const TrialOptions& options,
-                             std::optional<pp::OutputSymbol> expected_symbol = {},
-                             const fluid::FluidEngine* engine = nullptr);
 
 /// Circles-specific trial with the paper's instrumentation attached:
 /// exchange counting, invariant checking and the Lemma 3.6 decomposition

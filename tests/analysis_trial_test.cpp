@@ -1,12 +1,14 @@
-#include "analysis/trial.hpp"
+#include "sim/trial.hpp"
 
 #include <gtest/gtest.h>
 
 #include "baselines/exact_majority_4state.hpp"
 #include "core/circles_protocol.hpp"
 
-namespace circles::analysis {
+namespace circles::sim {
 namespace {
+
+using analysis::Workload;
 
 TEST(RunTrialTest, GradesCorrectRun) {
   core::CirclesProtocol protocol(3);
@@ -100,4 +102,4 @@ TEST(RunTrialDeathTest, WorkloadProtocolColorMismatch) {
 }
 
 }  // namespace
-}  // namespace circles::analysis
+}  // namespace circles::sim

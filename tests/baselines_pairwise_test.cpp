@@ -4,13 +4,13 @@
 
 #include <functional>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::baselines {
 namespace {
 
-using analysis::TrialOptions;
+using sim::TrialOptions;
 using analysis::Workload;
 
 TEST(PairwisePluralityTest, StateCountMatchesFormula) {
@@ -108,7 +108,7 @@ TEST(PairwisePluralityTest, ExhaustiveThreeColorCorrectness) {
       TrialOptions options;
       options.scheduler = pp::SchedulerKind::kRoundRobin;
       options.seed = 41 * n + w.counts[0] * 3 + w.counts[1];
-      const auto outcome = analysis::run_trial(protocol, w, options);
+      const auto outcome = sim::run_trial(protocol, w, options);
       EXPECT_TRUE(outcome.correct) << "counts=" << w.to_string();
     });
   }
@@ -126,7 +126,7 @@ TEST(PairwisePluralityTest, LoserTiesDoNotConfuseOutput) {
     TrialOptions options;
     options.scheduler = kind;
     options.seed = 17;
-    const auto outcome = analysis::run_trial(protocol, w, options);
+    const auto outcome = sim::run_trial(protocol, w, options);
     EXPECT_TRUE(outcome.correct) << pp::to_string(kind);
   }
 }
@@ -139,7 +139,7 @@ TEST(PairwisePluralityTest, RandomizedFourAndFiveColors) {
       const Workload w = analysis::random_unique_winner(rng, 24, k);
       TrialOptions options;
       options.seed = rng();
-      const auto outcome = analysis::run_trial(protocol, w, options);
+      const auto outcome = sim::run_trial(protocol, w, options);
       EXPECT_TRUE(outcome.correct)
           << "k=" << k << " counts=" << w.to_string();
     }

@@ -8,14 +8,14 @@
 #include <string>
 #include <tuple>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "core/circles_protocol.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::core {
 namespace {
 
-using analysis::TrialOptions;
+using sim::TrialOptions;
 using analysis::Workload;
 
 class TwoColorExhaustive
@@ -31,7 +31,7 @@ TEST_P(TwoColorExhaustive, EveryCountSplitObeysAllClaims) {
     TrialOptions options;
     options.scheduler = scheduler;
     options.seed = 1000 * n + zeros;
-    const auto outcome = analysis::run_circles_trial(protocol, w, options);
+    const auto outcome = sim::run_circles_trial(protocol, w, options);
     ASSERT_TRUE(outcome.trial.run.silent) << w.to_string();
     EXPECT_EQ(outcome.braket_invariant_violations, 0u) << w.to_string();
     EXPECT_EQ(outcome.potential_descent_violations, 0u) << w.to_string();
@@ -68,7 +68,7 @@ TEST_P(ThreeColorExhaustive, EveryCountSplitObeysAllClaims) {
       TrialOptions options;
       options.scheduler = scheduler;
       options.seed = 10000 * n + 100 * a + b;
-      const auto outcome = analysis::run_circles_trial(protocol, w, options);
+      const auto outcome = sim::run_circles_trial(protocol, w, options);
       ASSERT_TRUE(outcome.trial.run.silent) << w.to_string();
       EXPECT_EQ(outcome.braket_invariant_violations, 0u) << w.to_string();
       EXPECT_EQ(outcome.potential_descent_violations, 0u) << w.to_string();

@@ -9,17 +9,17 @@
 #include <string>
 #include <vector>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "core/circles_protocol.hpp"
 #include "core/decomposition.hpp"
 #include "core/greedy_sets.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::core {
 namespace {
 
-using analysis::CirclesTrialOutcome;
-using analysis::TrialOptions;
+using sim::CirclesTrialOutcome;
+using sim::TrialOptions;
 using analysis::Workload;
 
 /// Enumerates all count vectors over k colors summing to n.
@@ -78,7 +78,7 @@ TEST(CirclesSimulationTest, ExhaustiveTwoColorsUpToEight) {
       TrialOptions options;
       options.scheduler = pp::SchedulerKind::kRoundRobin;
       options.seed = 17 * n + w.counts[0];
-      const auto outcome = analysis::run_circles_trial(protocol, w, options);
+      const auto outcome = sim::run_circles_trial(protocol, w, options);
       expect_trial_obeys_paper(outcome, w, "k=2 counts=" + w.to_string());
     });
   }
@@ -92,7 +92,7 @@ TEST(CirclesSimulationTest, ExhaustiveThreeColorsUpToSix) {
       TrialOptions options;
       options.scheduler = pp::SchedulerKind::kShuffledSweep;
       options.seed = 31 * n + w.counts[0] * 7 + w.counts[1];
-      const auto outcome = analysis::run_circles_trial(protocol, w, options);
+      const auto outcome = sim::run_circles_trial(protocol, w, options);
       expect_trial_obeys_paper(outcome, w, "k=3 counts=" + w.to_string());
     });
   }
@@ -106,7 +106,7 @@ TEST(CirclesSimulationTest, ExhaustiveFourColorsUpToFive) {
       TrialOptions options;
       options.scheduler = pp::SchedulerKind::kRoundRobin;
       options.seed = 13 * n + w.counts[0] * 5 + w.counts[2];
-      const auto outcome = analysis::run_circles_trial(protocol, w, options);
+      const auto outcome = sim::run_circles_trial(protocol, w, options);
       expect_trial_obeys_paper(outcome, w, "k=4 counts=" + w.to_string());
     });
   }
@@ -124,7 +124,7 @@ TEST(CirclesSimulationTest, TiesStabilizeWithoutDiagonalsOrConsensus) {
     TrialOptions options;
     options.scheduler = kind;
     options.seed = rng();
-    const auto outcome = analysis::run_circles_trial(protocol, w, options);
+    const auto outcome = sim::run_circles_trial(protocol, w, options);
     EXPECT_TRUE(outcome.trial.run.silent);
     EXPECT_TRUE(outcome.decomposition_matches);
     EXPECT_EQ(outcome.braket_invariant_violations, 0u);
@@ -143,7 +143,7 @@ TEST(CirclesSimulationTest, DecompositionIsScheduleIndependent) {
       TrialOptions options;
       options.scheduler = kind;
       options.seed = seed;
-      const auto outcome = analysis::run_circles_trial(protocol, w, options);
+      const auto outcome = sim::run_circles_trial(protocol, w, options);
       EXPECT_TRUE(outcome.trial.run.silent) << pp::to_string(kind);
       EXPECT_TRUE(outcome.decomposition_matches)
           << pp::to_string(kind) << " seed=" << seed;
@@ -161,7 +161,7 @@ TEST(CirclesSimulationTest, RandomizedMediumPopulations) {
     const Workload w = analysis::random_unique_winner(rng, n, k);
     TrialOptions options;
     options.seed = rng();
-    const auto outcome = analysis::run_circles_trial(protocol, w, options);
+    const auto outcome = sim::run_circles_trial(protocol, w, options);
     expect_trial_obeys_paper(outcome, w,
                              "random k=" + std::to_string(k) +
                                  " counts=" + w.to_string());
@@ -179,7 +179,7 @@ TEST(CirclesSimulationTest, ScalarEnergyIsNotMonotoneInGeneral) {
     const Workload w = analysis::random_unique_winner(rng, 40, k);
     TrialOptions options;
     options.seed = rng();
-    const auto outcome = analysis::run_circles_trial(protocol, w, options);
+    const auto outcome = sim::run_circles_trial(protocol, w, options);
     total_increases += outcome.scalar_energy_increases;
   }
   EXPECT_GT(total_increases, 0u);
@@ -191,7 +191,7 @@ TEST(CirclesSimulationTest, ExchangeCountsArePositiveWithMultipleColors) {
   w.counts = {3, 2, 2, 1};
   TrialOptions options;
   options.seed = 9;
-  const auto outcome = analysis::run_circles_trial(protocol, w, options);
+  const auto outcome = sim::run_circles_trial(protocol, w, options);
   EXPECT_GT(outcome.ket_exchanges, 0u);
   // Diagonal destructions happen (initial diagonals get broken up).
   EXPECT_GT(outcome.diagonal_destructions, 0u);
@@ -203,7 +203,7 @@ TEST(CirclesSimulationTest, UniformSingleColorSilentImmediately) {
   w.counts = {0, 5, 0};
   TrialOptions options;
   options.seed = 5;
-  const auto outcome = analysis::run_circles_trial(protocol, w, options);
+  const auto outcome = sim::run_circles_trial(protocol, w, options);
   EXPECT_TRUE(outcome.trial.run.silent);
   EXPECT_EQ(outcome.ket_exchanges, 0u);
   EXPECT_TRUE(outcome.trial.correct);
@@ -216,7 +216,7 @@ TEST(CirclesSimulationTest, TwoAgentsMinimalPopulation) {
   w.counts = {2, 0};
   TrialOptions options;
   options.seed = 1;
-  const auto outcome = analysis::run_circles_trial(protocol, w, options);
+  const auto outcome = sim::run_circles_trial(protocol, w, options);
   EXPECT_TRUE(outcome.trial.correct);
 }
 
@@ -229,7 +229,7 @@ TEST(CirclesSimulationTest, AdversarialDelaySchedulerStillConverges) {
   TrialOptions options;
   options.scheduler = pp::SchedulerKind::kAdversarialDelay;
   options.seed = 77;
-  const auto outcome = analysis::run_circles_trial(protocol, w, options);
+  const auto outcome = sim::run_circles_trial(protocol, w, options);
   expect_trial_obeys_paper(outcome, w, "adversarial");
 }
 
@@ -243,8 +243,8 @@ TEST(CirclesSimulationTest, PermutedColorIdsPreserveCorrectnessNotWork) {
   const Workload permuted = analysis::permute_colors(rng, base);
   TrialOptions options;
   options.seed = 123;
-  const auto a = analysis::run_circles_trial(protocol, base, options);
-  const auto b = analysis::run_circles_trial(protocol, permuted, options);
+  const auto a = sim::run_circles_trial(protocol, base, options);
+  const auto b = sim::run_circles_trial(protocol, permuted, options);
   EXPECT_TRUE(a.trial.correct);
   EXPECT_TRUE(b.trial.correct);
 }

@@ -4,13 +4,13 @@
 
 #include <functional>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::ext {
 namespace {
 
-using analysis::TrialOptions;
+using sim::TrialOptions;
 using analysis::Workload;
 
 TEST(TieAwarePairwiseTest, StateMetadata) {

@@ -5,14 +5,14 @@
 #include <array>
 #include <functional>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "core/greedy_sets.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::ext {
 namespace {
 
-using analysis::TrialOptions;
+using sim::TrialOptions;
 using analysis::Workload;
 
 TEST(TieReportProtocolTest, StateMetadata) {
@@ -125,7 +125,7 @@ void expect_tie_report_correct(const TieReportProtocol& protocol,
   const pp::OutputSymbol expected =
       winner.has_value() ? *winner : protocol.tie_symbol();
   const auto outcome =
-      analysis::run_trial(protocol, w, options, {}, expected);
+      sim::run_trial(protocol, w, options, {}, expected);
   EXPECT_TRUE(outcome.run.silent)
       << "counts=" << w.to_string() << " " << pp::to_string(kind);
   EXPECT_TRUE(outcome.correct)
@@ -201,7 +201,7 @@ TEST(TieReportSimulationTest, BraKetLayerStillSatisfiesLemma33) {
   const Workload w = analysis::random_unique_winner(rng, 20, 4);
   TrialOptions options;
   options.seed = rng();
-  const auto outcome = analysis::run_trial(
+  const auto outcome = sim::run_trial(
       protocol, w, options,
       std::span<pp::Monitor* const>(monitors.data(), monitors.size()));
   EXPECT_TRUE(outcome.run.silent);

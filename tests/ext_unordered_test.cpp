@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::ext {
 namespace {
 
-using analysis::TrialOptions;
+using sim::TrialOptions;
 using analysis::Workload;
 
 TEST(UnorderedCirclesProtocolTest, StateMetadata) {
@@ -100,7 +100,7 @@ TEST(UnorderedCirclesSimulationTest, EmpiricalCorrectnessIsHigh) {
       TrialOptions options;
       options.seed = rng();
       options.engine.max_interactions = 5'000'000;
-      const auto outcome = analysis::run_trial(protocol, w, options);
+      const auto outcome = sim::run_trial(protocol, w, options);
       ++total;
       if (outcome.correct) ++correct;
     }
@@ -116,7 +116,7 @@ TEST(UnorderedCirclesSimulationTest, TwoAgentsOneColor) {
   w.counts = {2, 0};
   TrialOptions options;
   options.seed = 3;
-  const auto outcome = analysis::run_trial(protocol, w, options);
+  const auto outcome = sim::run_trial(protocol, w, options);
   EXPECT_TRUE(outcome.run.silent);
   EXPECT_TRUE(outcome.correct);
 }

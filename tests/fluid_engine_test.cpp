@@ -448,17 +448,20 @@ TEST(FluidTauTest, LeapMomentsTrackTheDrift) {
 // sim-layer integration
 
 TEST(FluidSimTest, RunFluidTrialGradesLikeTheDenseTrial) {
-  const auto protocol = make("circles", 3);
-  const analysis::Workload workload = workload_of({50000, 30000, 20000});
-  sim::TrialOptions options;
-  options.seed = 11;
-  const sim::TrialOutcome fluid =
-      sim::run_fluid_trial(*protocol, workload, options);
-  const sim::TrialOutcome dense =
-      sim::run_dense_trial(*protocol, workload, options, /*batched=*/true);
-  EXPECT_TRUE(fluid.correct);
-  EXPECT_TRUE(dense.correct);
-  EXPECT_EQ(fluid.consensus, dense.consensus);
+  // One trial seed on the fluid and the batched dense backend: the same
+  // workload, graded the same way, to the same consensus.
+  sim::RunSpec spec;
+  spec.protocol = "circles";
+  spec.params.k = 3;
+  spec.workload = sim::WorkloadSpec::explicit_counts({50000, 30000, 20000});
+  spec.backend = sim::EngineKind::kFluid;
+  const sim::TrialRecord fluid = sim::BatchRunner::execute_trial(spec, 11);
+  spec.backend = sim::EngineKind::kDenseBatched;
+  const sim::TrialRecord dense = sim::BatchRunner::execute_trial(spec, 11);
+  EXPECT_EQ(fluid.workload.counts, dense.workload.counts);
+  EXPECT_TRUE(fluid.outcome.correct);
+  EXPECT_TRUE(dense.outcome.correct);
+  EXPECT_EQ(fluid.outcome.consensus, dense.outcome.consensus);
 }
 
 TEST(FluidSimTest, BatchRunnerRunsBackendFluidSpecs) {

@@ -2,7 +2,6 @@
 // and with the analytic predictions on the same workloads.
 #include <gtest/gtest.h>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "baselines/exact_majority_4state.hpp"
 #include "baselines/pairwise_plurality.hpp"
@@ -11,11 +10,12 @@
 #include "core/greedy_sets.hpp"
 #include "extensions/tie_aware_pairwise.hpp"
 #include "extensions/tie_report.hpp"
+#include "sim/trial.hpp"
 
 namespace circles {
 namespace {
 
-using analysis::TrialOptions;
+using sim::TrialOptions;
 using analysis::Workload;
 
 TEST(IntegrationTest, CirclesAndPairwiseAgreeOnWinner) {
@@ -27,8 +27,8 @@ TEST(IntegrationTest, CirclesAndPairwiseAgreeOnWinner) {
     baselines::PairwisePlurality pairwise(k);
     TrialOptions options;
     options.seed = rng();
-    const auto a = analysis::run_trial(circles, w, options);
-    const auto b = analysis::run_trial(pairwise, w, options);
+    const auto a = sim::run_trial(circles, w, options);
+    const auto b = sim::run_trial(pairwise, w, options);
     ASSERT_TRUE(a.correct) << w.to_string();
     ASSERT_TRUE(b.correct) << w.to_string();
     EXPECT_EQ(a.consensus, b.consensus);
@@ -43,8 +43,8 @@ TEST(IntegrationTest, CirclesMatchesFourStateMajorityAtKTwo) {
     baselines::ExactMajority4State majority;
     TrialOptions options;
     options.seed = rng();
-    const auto a = analysis::run_trial(circles, w, options);
-    const auto b = analysis::run_trial(majority, w, options);
+    const auto a = sim::run_trial(circles, w, options);
+    const auto b = sim::run_trial(majority, w, options);
     EXPECT_TRUE(a.correct && b.correct) << w.to_string();
     EXPECT_EQ(a.consensus, b.consensus);
   }
@@ -59,8 +59,8 @@ TEST(IntegrationTest, TieReportAgreesWithCirclesOnNonTies) {
     ext::TieReportProtocol tie_report(k);
     TrialOptions options;
     options.seed = rng();
-    const auto a = analysis::run_trial(circles, w, options);
-    const auto b = analysis::run_trial(tie_report, w, options);
+    const auto a = sim::run_trial(circles, w, options);
+    const auto b = sim::run_trial(tie_report, w, options);
     EXPECT_TRUE(a.correct) << w.to_string();
     EXPECT_TRUE(b.correct) << w.to_string();
     EXPECT_EQ(a.consensus, b.consensus);
@@ -75,9 +75,9 @@ TEST(IntegrationTest, TieReportAgreesWithTieAwarePairwiseOnTies) {
     ext::TieAwarePairwise pairwise(4, ext::TieSemantics::kReport);
     TrialOptions options;
     options.seed = rng();
-    const auto a = analysis::run_trial(retractor, w, options, {},
+    const auto a = sim::run_trial(retractor, w, options, {},
                                        retractor.tie_symbol());
-    const auto b = analysis::run_trial(pairwise, w, options, {},
+    const auto b = sim::run_trial(pairwise, w, options, {},
                                        pairwise.tie_symbol());
     EXPECT_TRUE(a.correct) << w.to_string();
     EXPECT_TRUE(b.correct) << w.to_string();
@@ -95,7 +95,7 @@ TEST(IntegrationTest, StableExchangeTotalsAreSeedIndependentInShape) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     TrialOptions options;
     options.seed = seed;
-    const auto outcome = analysis::run_circles_trial(protocol, w, options);
+    const auto outcome = sim::run_circles_trial(protocol, w, options);
     EXPECT_TRUE(outcome.decomposition_matches);
     if (consensus.has_value()) {
       EXPECT_EQ(outcome.trial.consensus, consensus);

@@ -4,10 +4,10 @@
 
 #include <vector>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "baselines/exact_majority_4state.hpp"
 #include "core/circles_protocol.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::mc {
 namespace {

@@ -4,10 +4,10 @@
 
 #include <vector>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "core/circles_protocol.hpp"
 #include "pp/engine.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::pp {
 namespace {
@@ -21,10 +21,10 @@ TEST(EngineOptionsTest, ResultsIndependentOfSilenceStreakTuning) {
 
   std::vector<std::uint64_t> outputs_signature;
   for (const std::uint64_t streak : {1ull, 16ull, 64ull, 4096ull}) {
-    analysis::TrialOptions options;
+    sim::TrialOptions options;
     options.seed = 555;
     options.engine.initial_silence_streak = streak;
-    const auto outcome = analysis::run_trial(protocol, w, options);
+    const auto outcome = sim::run_trial(protocol, w, options);
     EXPECT_TRUE(outcome.run.silent) << "streak " << streak;
     EXPECT_TRUE(outcome.correct) << "streak " << streak;
     // The step of the last state change is a pure function of the schedule
@@ -40,10 +40,10 @@ TEST(EngineOptionsTest, TightBudgetStillReportsExactSilenceStatus) {
   core::CirclesProtocol protocol(3);
   util::Rng rng(4);
   const analysis::Workload w = analysis::random_unique_winner(rng, 12, 3);
-  analysis::TrialOptions options;
+  sim::TrialOptions options;
   options.seed = 77;
   options.engine.max_interactions = 5;  // way too small to converge
-  const auto outcome = analysis::run_trial(protocol, w, options);
+  const auto outcome = sim::run_trial(protocol, w, options);
   EXPECT_TRUE(outcome.run.budget_exhausted);
   EXPECT_FALSE(outcome.run.silent);
   EXPECT_FALSE(outcome.correct);
@@ -56,15 +56,15 @@ TEST(EngineOptionsTest, BudgetLandingExactlyOnSilenceIsDetected) {
   core::CirclesProtocol protocol(2);
   analysis::Workload w;
   w.counts = {3, 1};
-  analysis::TrialOptions options;
+  sim::TrialOptions options;
   options.seed = 31;
-  const auto full = analysis::run_trial(protocol, w, options);
+  const auto full = sim::run_trial(protocol, w, options);
   ASSERT_TRUE(full.run.silent);
 
-  analysis::TrialOptions replay = options;
+  sim::TrialOptions replay = options;
   replay.engine.max_interactions = full.run.last_change_step + 1;
   replay.engine.initial_silence_streak = ~0ull;  // disable in-loop checks
-  const auto outcome = analysis::run_trial(protocol, w, replay);
+  const auto outcome = sim::run_trial(protocol, w, replay);
   EXPECT_TRUE(outcome.run.budget_exhausted);
   EXPECT_TRUE(outcome.run.silent);  // exact post-hoc verdict
 }
@@ -73,9 +73,9 @@ TEST(EngineOptionsTest, StateChangesMatchLastChangeStepConsistency) {
   core::CirclesProtocol protocol(5);
   util::Rng rng(12);
   const analysis::Workload w = analysis::random_unique_winner(rng, 25, 5);
-  analysis::TrialOptions options;
+  sim::TrialOptions options;
   options.seed = 9;
-  const auto outcome = analysis::run_trial(protocol, w, options);
+  const auto outcome = sim::run_trial(protocol, w, options);
   ASSERT_TRUE(outcome.run.silent);
   EXPECT_GT(outcome.run.state_changes, 0u);
   EXPECT_LT(outcome.run.last_change_step, outcome.run.interactions);

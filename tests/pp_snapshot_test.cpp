@@ -4,11 +4,11 @@
 
 #include <stdexcept>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "core/circles_protocol.hpp"
 #include "extensions/tie_report.hpp"
 #include "pp/engine.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::pp {
 namespace {

@@ -6,15 +6,15 @@
 #include <string>
 #include <tuple>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "core/circles_protocol.hpp"
 #include "extensions/tie_report.hpp"
+#include "sim/trial.hpp"
 
 namespace circles {
 namespace {
 
-using analysis::TrialOptions;
+using sim::TrialOptions;
 using analysis::Workload;
 
 enum class WorkloadFamily { kRandom, kCloseMargin, kDominant, kZipf };
@@ -67,7 +67,7 @@ TEST_P(CirclesPropertySweep, AllFourClaimsHold) {
     TrialOptions options;
     options.scheduler = scheduler;
     options.seed = rng();
-    const auto outcome = analysis::run_circles_trial(protocol, w, options);
+    const auto outcome = sim::run_circles_trial(protocol, w, options);
     // Theorem 3.4 (stabilization, via silence certificate):
     ASSERT_TRUE(outcome.trial.run.silent) << w.to_string();
     // Lemma 3.3 (bra-ket invariant):
@@ -114,7 +114,7 @@ TEST_P(TieReportPropertySweep, ReportsTiesAndWinnersCorrectly) {
     options.scheduler = scheduler;
     options.seed = rng();
     const auto outcome =
-        analysis::run_trial(protocol, w, options, {}, protocol.tie_symbol());
+        sim::run_trial(protocol, w, options, {}, protocol.tie_symbol());
     EXPECT_TRUE(outcome.run.silent) << w.to_string();
     EXPECT_TRUE(outcome.correct) << "tie not reported for " << w.to_string();
   }
@@ -123,7 +123,7 @@ TEST_P(TieReportPropertySweep, ReportsTiesAndWinnersCorrectly) {
     TrialOptions options;
     options.scheduler = scheduler;
     options.seed = rng();
-    const auto outcome = analysis::run_trial(protocol, w, options);
+    const auto outcome = sim::run_trial(protocol, w, options);
     EXPECT_TRUE(outcome.run.silent) << w.to_string();
     EXPECT_TRUE(outcome.correct) << "winner missed for " << w.to_string();
   }

@@ -212,6 +212,39 @@ TEST(BatchRunnerTest, ValidatesSpecsUpFront) {
   EXPECT_THROW(BatchRunner().run_one(chemical_combo), std::invalid_argument);
 }
 
+TEST(BatchRunnerTest, ReplayRunsTheBatchValidation) {
+  // A REPRO replay sets its spec up exactly as the batch does: what the
+  // batch rejects, the replay rejects with the same message.
+  RunSpec round_robin;
+  round_robin.protocol = "circles";
+  round_robin.params.k = 3;
+  round_robin.n = 300;
+  round_robin.trials = 1;
+  round_robin.backend = EngineKind::kDenseBatched;
+  round_robin.scheduler = pp::SchedulerKind::kRoundRobin;
+
+  RunSpec tolerances = round_robin;
+  tolerances.scheduler = pp::SchedulerKind::kUniformRandom;
+  tolerances.rtol = 0.1;
+
+  for (const RunSpec& spec : {round_robin, tolerances}) {
+    SCOPED_TRACE(spec.to_string());
+    std::string batch_error;
+    try {
+      (void)BatchRunner().run_one(spec);
+    } catch (const std::invalid_argument& e) {
+      batch_error = e.what();
+    }
+    ASSERT_FALSE(batch_error.empty());
+    try {
+      (void)BatchRunner::execute_trial(spec, 1);
+      ADD_FAILURE() << "replay accepted a spec the batch rejects";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), batch_error);
+    }
+  }
+}
+
 TEST(BatchRunnerTest, TieAwareGradingAcceptsTieSymbolConsensus) {
   RunSpec spec;
   spec.protocol = "tie_report";

@@ -293,57 +293,81 @@ TEST(TraceBatchTest, SpansOutWritesPerSpecTimeline) {
 }
 
 TEST(TraceBatchTest, FailingTrialDumpsReproLineThatReplaysIdentically) {
-  // A budget too small to reach silence: budget_exhausted on every trial.
-  sim::RunSpec spec = small_spec(sim::EngineKind::kAgentArray, 300);
-  spec.trials = 1;
-  spec.engine.max_interactions = 200;
+  // Every lumpable backend x scheduler pair: the REPRO line of a failing
+  // trial replays it bit for bit, clustered urn splits included.
+  struct Case {
+    sim::EngineKind backend;
+    pp::SchedulerKind scheduler;
+  };
+  const Case cases[] = {
+      {sim::EngineKind::kAgentArray, pp::SchedulerKind::kUniformRandom},
+      {sim::EngineKind::kAgentArray, pp::SchedulerKind::kClustered},
+      {sim::EngineKind::kDenseBatched, pp::SchedulerKind::kUniformRandom},
+      {sim::EngineKind::kDenseBatched, pp::SchedulerKind::kClustered},
+      {sim::EngineKind::kDense, pp::SchedulerKind::kClustered},
+      {sim::EngineKind::kFluid, pp::SchedulerKind::kClustered},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(sim::to_string(c.backend) + " " + pp::to_string(c.scheduler));
+    // A budget too small to reach silence: budget_exhausted on every trial.
+    sim::RunSpec spec = small_spec(c.backend, 300);
+    spec.trials = 1;
+    spec.engine.max_interactions = 200;
+    spec.scheduler = c.scheduler;
+    if (c.scheduler == pp::SchedulerKind::kClustered) spec.clusters = 2;
 
-  trace::Tracer tracer;
-  sim::BatchOptions options;
-  options.tracer = &tracer;
-  options.threads = 1;
-  testing::internal::CaptureStderr();
-  const auto result = sim::BatchRunner(options).run_one(spec);
-  const std::string dump = testing::internal::GetCapturedStderr();
-  ASSERT_EQ(result.trials.size(), 1u);
-  const sim::TrialRecord& rec = result.trials[0];
-  ASSERT_TRUE(rec.outcome.run.budget_exhausted);
+    trace::Tracer tracer;
+    sim::BatchOptions options;
+    options.tracer = &tracer;
+    options.threads = 1;
+    testing::internal::CaptureStderr();
+    const auto result = sim::BatchRunner(options).run_one(spec);
+    const std::string dump = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(result.trials.size(), 1u);
+    const sim::TrialRecord& rec = result.trials[0];
+    ASSERT_TRUE(rec.outcome.run.budget_exhausted);
 
-  // The dump names the reason and carries the greppable REPRO line.
-  EXPECT_NE(dump.find("=== trial failure: budget_exhausted ==="),
-            std::string::npos)
-      << dump;
-  const std::size_t repro_at = dump.find("REPRO: sweep --spec='");
-  ASSERT_NE(repro_at, std::string::npos) << dump;
-  const std::size_t spec_from = repro_at + std::string("REPRO: sweep --spec='").size();
-  const std::size_t spec_to = dump.find('\'', spec_from);
-  ASSERT_NE(spec_to, std::string::npos);
-  const std::string repro_spec = dump.substr(spec_from, spec_to - spec_from);
-  const std::string seed_key = "--trial-seed=";
-  const std::size_t seed_from = dump.find(seed_key, spec_to) + seed_key.size();
-  std::uint64_t repro_seed = 0;
-  std::sscanf(dump.c_str() + seed_from, "%" SCNu64, &repro_seed);
-  EXPECT_EQ(repro_seed, rec.seed);
+    // The dump names the reason and carries the greppable REPRO line.
+    EXPECT_NE(dump.find("=== trial failure: budget_exhausted ==="),
+              std::string::npos)
+        << dump;
+    const std::size_t repro_at = dump.find("REPRO: sweep --spec='");
+    ASSERT_NE(repro_at, std::string::npos) << dump;
+    const std::size_t spec_from =
+        repro_at + std::string("REPRO: sweep --spec='").size();
+    const std::size_t spec_to = dump.find('\'', spec_from);
+    ASSERT_NE(spec_to, std::string::npos);
+    const std::string repro_spec = dump.substr(spec_from, spec_to - spec_from);
+    const std::string seed_key = "--trial-seed=";
+    const std::size_t seed_from =
+        dump.find(seed_key, spec_to) + seed_key.size();
+    std::uint64_t repro_seed = 0;
+    std::sscanf(dump.c_str() + seed_from, "%" SCNu64, &repro_seed);
+    EXPECT_EQ(repro_seed, rec.seed);
 
-  // The REPRO spec bakes in the resolved backend and the tiny budget, and
-  // drops the sink paths (forensics hygiene).
-  const sim::RunSpec parsed = sim::RunSpec::parse(repro_spec);
-  EXPECT_EQ(parsed.backend, sim::EngineKind::kAgentArray);
-  EXPECT_EQ(parsed.engine.max_interactions, 200u);
-  EXPECT_TRUE(parsed.spans_out.empty());
-  EXPECT_TRUE(parsed.metrics_out.empty());
+    // The REPRO spec bakes in the resolved backend, the scheduler shape and
+    // the tiny budget, and drops the sink paths (forensics hygiene).
+    const sim::RunSpec parsed = sim::RunSpec::parse(repro_spec);
+    EXPECT_EQ(parsed.backend, c.backend);
+    EXPECT_EQ(parsed.scheduler, c.scheduler);
+    EXPECT_EQ(parsed.clusters, spec.clusters);
+    EXPECT_EQ(parsed.engine.max_interactions, 200u);
+    EXPECT_TRUE(parsed.spans_out.empty());
+    EXPECT_TRUE(parsed.metrics_out.empty());
 
-  // Seed-exact standalone replay: identical failure, identical counts.
-  const auto protocol =
-      sim::ProtocolRegistry::global().create(parsed.protocol, parsed.params);
-  const sim::TrialRecord replay =
-      sim::BatchRunner::execute_trial(*protocol, parsed, repro_seed);
-  EXPECT_EQ(replay.outcome.run.budget_exhausted,
-            rec.outcome.run.budget_exhausted);
-  EXPECT_EQ(replay.outcome.correct, rec.outcome.correct);
-  EXPECT_EQ(replay.outcome.run.interactions, rec.outcome.run.interactions);
-  EXPECT_EQ(replay.outcome.run.state_changes, rec.outcome.run.state_changes);
-  EXPECT_EQ(replay.outcome.run.final_outputs, rec.outcome.run.final_outputs);
+    // Seed-exact standalone replay: identical failure, identical counts.
+    const sim::TrialRecord replay =
+        sim::BatchRunner::execute_trial(parsed, repro_seed);
+    EXPECT_EQ(replay.outcome.run.budget_exhausted,
+              rec.outcome.run.budget_exhausted);
+    EXPECT_EQ(replay.outcome.run.silent, rec.outcome.run.silent);
+    EXPECT_EQ(replay.outcome.correct, rec.outcome.correct);
+    EXPECT_EQ(replay.outcome.run.interactions, rec.outcome.run.interactions);
+    EXPECT_EQ(replay.outcome.run.state_changes,
+              rec.outcome.run.state_changes);
+    EXPECT_EQ(replay.outcome.run.final_outputs,
+              rec.outcome.run.final_outputs);
+  }
 }
 
 TEST(TraceBatchTest, NoTracerMeansNoFailureDump) {
