@@ -19,6 +19,9 @@ namespace circles::util {
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// xoshiro256++ generator. Satisfies std::uniform_random_bit_generator.
+/// The per-draw members are defined inline: the dense engine's epoch loop
+/// makes hundreds of draws per epoch, and an out-of-line call each is a
+/// measurable share of its cost.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -28,17 +31,43 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~std::uint64_t{0}; }
 
-  std::uint64_t operator()();
+  std::uint64_t operator()() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). Requires bound > 0. Unbiased (Lemire's
-  /// method with rejection).
-  std::uint64_t uniform_below(std::uint64_t bound);
+  /// nearly-divisionless method with rejection).
+  std::uint64_t uniform_below(std::uint64_t bound) {
+    CIRCLES_DCHECK(bound > 0);
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1).
-  double uniform01();
+  /// Uniform double in [0, 1): the 53 high bits of one output.
+  double uniform01() {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p);
@@ -69,6 +98,10 @@ class Rng {
   Rng fork(std::uint64_t index) const;
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 
