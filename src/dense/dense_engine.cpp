@@ -149,6 +149,7 @@ struct DenseEngine::Sim {
   std::uint64_t m_ff_jumps = 0;     // sparse-activity fast-forward jumps
   std::uint64_t m_ff_skipped = 0;   // null interactions skipped by them
   std::uint64_t m_mvhg_draws = 0;   // multivariate hypergeometric deals
+  std::uint64_t m_pair_draws = 0;   // hypergeometric draws of the pairing
 
   // Aggregate view for the recorder: single-urn runs alias urn 0; multi-urn
   // runs maintain summed counts incrementally (only when a recorder is
@@ -480,6 +481,13 @@ struct DenseEngine::Sim {
     urn.used_total += m;
   }
 
+  /// Removes m agents of state s from the used masses; s stays listed in
+  /// `touched` (a zero entry walks as an empty category).
+  void untouch_used(Urn& urn, pp::StateId s, std::uint64_t m) {
+    urn.used[s] -= m;
+    urn.used_total -= m;
+  }
+
   void reset_used() {
     for (Urn& urn : urns) {
       for (const pp::StateId s : urn.touched) urn.used[s] = 0;
@@ -668,6 +676,7 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
     m.counter("dense.fast_forward_jumps").add(sim.m_ff_jumps);
     m.counter("dense.fast_forward_interactions").add(sim.m_ff_skipped);
     m.counter("dense.mvhg_draws").add(sim.m_mvhg_draws);
+    m.counter("dense.pair_draws").add(sim.m_pair_draws);
     m.counter("dense.parallel_epochs").add(sim.m_parallel_epochs);
     if (sim.m_pool_regions > 0) {
       // Summed worker busy time across this run's parallel regions, and the
@@ -794,13 +803,30 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       sim.arena.alloc<std::uint64_t>(u_count * states);
   const std::span<std::uint64_t> mvhg_draws =
       sim.arena.alloc<std::uint64_t>(u_count);
+  const std::span<std::uint64_t> participants =
+      sim.arena.alloc<std::uint64_t>(u_count);
+  // Pairing scratch, one stride-S row set per block so pooled blocks never
+  // share it: the states and margins of the block's non-zero initiator rows
+  // and responder columns.
+  const std::span<pp::StateId> row_state_flat =
+      sim.arena.alloc<pp::StateId>(num_blocks * states);
+  const std::span<pp::StateId> col_state_flat =
+      sim.arena.alloc<pp::StateId>(num_blocks * states);
+  const std::span<std::uint64_t> row_m_flat =
+      sim.arena.alloc<std::uint64_t>(num_blocks * states);
+  const std::span<std::uint64_t> col_m_flat =
+      sim.arena.alloc<std::uint64_t>(num_blocks * states);
+  const std::span<std::uint64_t> pair_draws =
+      sim.arena.alloc<std::uint64_t>(num_blocks);
 
-  // One recorded transition group from an epoch's pairing stage: m matched
-  // (s, t) pairs of one block, mapping through tr. The pairing draws read
-  // only the dealt role rows and the frozen present-list prefixes — never
-  // the counts they will mutate — so recording groups per block (possibly
-  // concurrently) and applying them in ascending (block, group) order
-  // reproduces the historical interleaved loop bit for bit.
+  // One recorded productive group from an epoch's pairing stage: m matched
+  // (s, t) pairs of one block, mapping through the non-null tr. The pairing
+  // draws read only the dealt role rows and the frozen present-list
+  // prefixes — never the counts they will mutate — so recording groups per
+  // block (possibly concurrently) and applying them in ascending
+  // (block, group) order is deterministic. Per block, the activity masks
+  // over its non-zero rows x columns (plus the sampler's scratch) and the
+  // sampled cells; both keep their capacity across epochs.
   struct PairGroup {
     pp::StateId s;
     pp::StateId t;
@@ -808,6 +834,8 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     std::uint64_t m;
   };
   std::vector<std::vector<PairGroup>> groups(num_blocks);
+  std::vector<std::vector<std::uint64_t>> masks(num_blocks);
+  std::vector<std::vector<ContingencyCell>> cells(num_blocks);
 
   while (!result.silent && result.interactions < options_.max_interactions) {
     const std::uint64_t remaining =
@@ -988,6 +1016,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       for (std::size_t v = 0; v < u_count; ++v) {
         t_u += block_len[u * u_count + v] + block_len[v * u_count + u];
       }
+      participants[u] = t_u;
       if (t_u == 0) return;
 
       util::Rng forked(0);
@@ -1034,15 +1063,13 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     sim.run_tasks(u_count, pooled, "dense.stage.deal", deal_urn);
     if (pooled) sim.m_parallel_epochs += 1;
 
-    sim.reset_used();
-
     // Pair initiators with responders per block: a uniformly random perfect
-    // matching, sampled group by group as a hypergeometric contingency
-    // table. Blocks draw from their own forked sub-streams (fork(U + b)) on
-    // multi-urn runs, so the record stage fans out per block; the draws
-    // depend only on the dealt role rows and the frozen present prefixes
-    // (present lists are append-only, so indices below width stay stable
-    // while later groups apply).
+    // matching, sampled as a hypergeometric contingency table of which only
+    // the non-null cells are drawn (sample_active_cells). Blocks draw from
+    // their own forked sub-streams (fork(U + b)) on multi-urn runs, so the
+    // record stage fans out per block; the draws depend only on the dealt
+    // role rows and the frozen present prefixes (present lists are
+    // append-only, so indices below width stay stable while groups apply).
     const auto pair_block = [&](std::size_t b) {
       std::vector<PairGroup>& out = groups[b];
       out.clear();
@@ -1053,8 +1080,41 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       const Sim::Urn& urn_r = sim.urns[v];
       const std::span<const std::uint64_t> init =
           init_flat.subspan(b * states, width[u]);
-      const std::span<std::uint64_t> resp =
+      const std::span<const std::uint64_t> resp =
           resp_flat.subspan(b * states, width[v]);
+
+      // Compact the non-zero rows and columns, then mark the non-null cells
+      // among them only, one bitmask per row.
+      pp::StateId* const row_state = row_state_flat.data() + b * states;
+      pp::StateId* const col_state = col_state_flat.data() + b * states;
+      std::uint64_t* const row_m = row_m_flat.data() + b * states;
+      std::uint64_t* const col_m = col_m_flat.data() + b * states;
+      std::size_t num_rows = 0;
+      std::size_t num_cols = 0;
+      for (std::size_t a = 0; a < init.size(); ++a) {
+        if (init[a] == 0) continue;
+        row_state[num_rows] = urn_i.present[a];
+        row_m[num_rows++] = init[a];
+      }
+      for (std::size_t c = 0; c < resp.size(); ++c) {
+        if (resp[c] == 0) continue;
+        col_state[num_cols] = urn_r.present[c];
+        col_m[num_cols++] = resp[c];
+      }
+      const std::size_t words = active_words(num_cols);
+      std::vector<std::uint64_t>& mask = masks[b];
+      mask.resize(2 * num_rows * words);
+      for (std::size_t i = 0; i < num_rows; ++i) {
+        for (std::size_t w = 0; w < words; ++w) {
+          std::uint64_t bits = 0;
+          for (std::size_t j = w * 64; j < std::min(num_cols, w * 64 + 64);
+               ++j) {
+            bits |= std::uint64_t{nonnull(row_state[i], col_state[j])}
+                    << (j % 64);
+          }
+          mask[i * words + w] = bits;
+        }
+      }
 
       util::Rng forked(0);
       util::Rng* stream = &rng;
@@ -1062,34 +1122,40 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         forked = rng.fork(u_count + b);
         stream = &forked;
       }
-
-      std::uint64_t resp_pool = block_len[b];
-      for (std::size_t a = 0; a < init.size(); ++a) {
-        std::uint64_t need = init[a];
-        if (need == 0) continue;
-        std::uint64_t pool_total = resp_pool;
-        for (std::size_t c = 0; c < resp.size() && need > 0; ++c) {
-          const std::uint64_t avail = resp[c];
-          if (avail == 0) continue;
-          const std::uint64_t m =
-              hypergeometric(*stream, pool_total, avail, need);
-          pool_total -= avail;
-          resp[c] -= m;
-          need -= m;
-          if (m == 0) continue;
-          const pp::StateId s = urn_i.present[a];
-          const pp::StateId t = urn_r.present[c];
-          out.push_back({s, t, transition(s, t), m});
-        }
-        CIRCLES_DCHECK(need == 0);
-        resp_pool -= init[a];
+      std::vector<ContingencyCell>& sampled = cells[b];
+      sampled.clear();
+      const std::span<std::uint64_t> mask_span(mask);
+      pair_draws[b] += sample_active_cells(
+          *stream, std::span<const std::uint64_t>(row_m, num_rows),
+          std::span<std::uint64_t>(col_m, num_cols),
+          mask_span.first(num_rows * words), mask_span.last(num_rows * words),
+          sampled);
+      for (const ContingencyCell& cell : sampled) {
+        const pp::StateId s = row_state[cell.row];
+        const pp::StateId t = col_state[cell.col];
+        out.push_back({s, t, transition(s, t), cell.m});
       }
     };
     sim.run_tasks(num_blocks, pooled, "dense.stage.pair", pair_block);
 
-    // Apply the recorded groups in ascending (block, group) order — the
-    // exact mutation order of the historical interleaved loop, and the only
-    // stage that touches counts, presence, the used masses, or the
+    // Rebuild the used masses (the post-epoch states of this epoch's
+    // participants, which collision resolution reads): every dealt
+    // participant at its pre-epoch state, then the productive groups'
+    // deltas. All post-transition states are added before any pre-transition
+    // state is removed, so `touched` never lists a state twice.
+    sim.reset_used();
+    for (std::size_t u = 0; u < u_count; ++u) {
+      if (participants[u] == 0) continue;
+      Sim::Urn& urn = sim.urns[u];
+      const std::span<const std::uint64_t> drawn =
+          drawn_flat.subspan(u * states, width[u]);
+      for (std::size_t i = 0; i < drawn.size(); ++i) {
+        if (drawn[i] > 0) sim.touch_used(urn, urn.present[i], drawn[i]);
+      }
+    }
+
+    // Apply the productive groups in ascending (block, group) order — the
+    // only stage that touches counts, presence, the used masses, or the
     // aggregate view.
     std::uint64_t epoch_productive = 0;
     for (std::size_t b = 0; b < num_blocks; ++b) {
@@ -1106,11 +1172,18 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         sim.touch_used(urn_i, g.tr.initiator, g.m);
         sim.touch_used(urn_r, g.tr.responder, g.m);
         sim.apply_agg(g.s, g.t, g.tr, g.m);
-        if (g.tr.initiator != g.s || g.tr.responder != g.t) {
-          block_productive[b] += g.m;
-        }
+        block_productive[b] += g.m;
       }
       epoch_productive += block_productive[b];
+    }
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      if (block_len[b] == 0) continue;
+      Sim::Urn& urn_i = sim.urns[b / u_count];
+      Sim::Urn& urn_r = sim.urns[b % u_count];
+      for (const PairGroup& g : groups[b]) {
+        sim.untouch_used(urn_i, g.s, g.m);
+        sim.untouch_used(urn_r, g.t, g.m);
+      }
     }
 
     const std::uint64_t epoch_start = result.interactions;
@@ -1206,9 +1279,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     if (trace_epoch) sim.trace->end("dense.epoch");
   }
 
-  // The deal tasks count their mvhg draws per urn (so pooled stages never
-  // share a counter); fold them into the run total here.
+  // The deal and pair tasks count their draws per urn and per block (so
+  // pooled stages never share a counter); fold them into run totals here.
   for (std::size_t u = 0; u < u_count; ++u) sim.m_mvhg_draws += mvhg_draws[u];
+  for (std::size_t b = 0; b < num_blocks; ++b) sim.m_pair_draws += pair_draws[b];
 
   // Resolve the exact step of the final change. Within an epoch each
   // block's slot assignment is exchangeable, so its productive slots form a

@@ -32,7 +32,12 @@
 //    initiator/responder roles per block, pair initiators with responders by
 //    hypergeometric contingency sampling per block, apply all transitions to
 //    the counts at once, then resolve the single colliding interaction
-//    explicitly and start the next epoch. When activity is sparse (fewer
+//    explicitly and start the next epoch. The pairing is null-aware: most
+//    meetings of an energy-minimizing run change nothing, so it draws only
+//    the table's non-null cells (sample_active_cells in dense/sampling.hpp
+//    — rows with no non-null partner are never drawn, and columns no
+//    remaining row can change with are lumped), which is still the exact
+//    law of every state-changing group. When activity is sparse (fewer
 //    than ~3 expected state changes per epoch) the engine switches to
 //    geometric fast-forward: the number of null interactions before the next
 //    state change is Geometric(p) with p = sum_b rate_b * active_b /
@@ -49,8 +54,11 @@
 // so a silent run reports interactions = last_change_step + 1, without the
 // agent engine's streak-heuristic detection overhead.
 //
-// Determinism: single-urn runs consume the main RNG stream exactly as the
-// historical single-urn engine did (bitwise-identical results). Multi-urn
+// Determinism: results are a pure function of (configuration, seed).
+// Single-urn runs draw everything from the main RNG stream. Per-step runs
+// replay the original single-urn engine bit for bit; batched runs do not,
+// because the null-aware pairing consumes a different (equally
+// distributed) stream than the full-table pairing it replaced. Multi-urn
 // epochs give every urn and every urn-pair block a sub-stream derived with
 // util::Rng::fork, so per-block draws are reproducible regardless of block
 // iteration order.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -139,6 +140,72 @@ void multivariate_hypergeometric(util::Rng& rng,
     need -= d;
   }
   CIRCLES_DCHECK(need == 0);
+}
+
+std::uint64_t sample_active_cells(util::Rng& rng,
+                                  std::span<const std::uint64_t> rows,
+                                  std::span<std::uint64_t> cols,
+                                  std::span<const std::uint64_t> active,
+                                  std::span<std::uint64_t> scratch,
+                                  std::vector<ContingencyCell>& out) {
+  const std::size_t num_rows = rows.size();
+  const std::size_t words = active_words(cols.size());
+  CIRCLES_CHECK_MSG(active.size() == num_rows * words &&
+                        scratch.size() >= num_rows * words,
+                    "contingency sampler spans are mis-sized");
+  // live[i]: the non-empty columns active for some drawn row i' >= i —
+  // exactly the columns row i must draw on their own. Built backwards, one
+  // mask word at a time.
+  const std::span<std::uint64_t> live = scratch.first(num_rows * words);
+  std::uint64_t pool = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t nonempty = 0;
+    for (std::size_t j = w * 64; j < std::min(cols.size(), w * 64 + 64); ++j) {
+      pool += cols[j];
+      if (cols[j] > 0) nonempty |= std::uint64_t{1} << (j % 64);
+    }
+    std::uint64_t acc = 0;
+    for (std::size_t i = num_rows; i-- > 0;) {
+      if (rows[i] > 0) acc |= active[i * words + w] & nonempty;
+      live[i * words + w] = acc;
+    }
+  }
+
+  std::uint64_t draws = 0;
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    const std::uint64_t* row_active = active.data() + i * words;
+    const std::uint64_t* row_live = live.data() + i * words;
+    // A row with no active non-empty column is never drawn: whatever it
+    // takes comes out of the columns no drawn row can change with.
+    bool drawn = false;
+    for (std::size_t w = 0; w < words; ++w) {
+      drawn = drawn || (row_active[w] & row_live[w]) != 0;
+    }
+    if (rows[i] == 0 || !drawn) continue;
+    // The row's multivariate draw: each live column in turn, then the lump
+    // of every other column last, which takes the rest without a draw.
+    std::uint64_t need = rows[i];
+    std::uint64_t rest = pool;
+    for (std::size_t w = 0; w < words && need > 0; ++w) {
+      for (std::uint64_t bits = row_live[w]; bits != 0 && need > 0;
+           bits &= bits - 1) {
+        const std::size_t j = w * 64 + std::countr_zero(bits);
+        const std::uint64_t avail = cols[j];
+        if (avail == 0) continue;
+        const std::uint64_t m = hypergeometric(rng, rest, avail, need);
+        draws += 1;
+        rest -= avail;
+        cols[j] -= m;
+        need -= m;
+        if (m > 0 && (row_active[w] >> (j % 64) & 1) != 0) {
+          out.push_back({static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j), m});
+        }
+      }
+    }
+    pool -= rows[i];
+  }
+  return draws;
 }
 
 CollisionFreeRunLength::CollisionFreeRunLength(std::uint64_t n) {

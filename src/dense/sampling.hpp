@@ -9,6 +9,7 @@
 // Gillespie module's exponential clocks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,6 +47,43 @@ void multivariate_hypergeometric(util::Rng& rng,
                                  std::span<const std::uint64_t> counts,
                                  std::uint64_t draws,
                                  std::span<std::uint64_t> out);
+
+/// One non-null cell of a sampled contingency table: `m` matched pairs of
+/// row `row` with column `col` (indices into the caller's margins).
+struct ContingencyCell {
+  std::uint32_t row;
+  std::uint32_t col;
+  std::uint64_t m;
+};
+
+/// Words per row of a sample_active_cells activity mask over `cols`
+/// columns.
+constexpr std::size_t active_words(std::size_t cols) { return (cols + 63) / 64; }
+
+/// Samples the non-null cells of the contingency table of a uniformly
+/// random perfect matching between row items (row i holds rows[i]) and
+/// column items (column j holds cols[j]); sum(rows) must equal sum(cols).
+/// `active` holds one bitmask per row, active_words(cols.size()) words each:
+/// bit j % 64 of word j / 64 marks cell (i, j) non-null. Appends every
+/// non-null cell with m > 0 to `out` and returns the number of
+/// hypergeometric draws made.
+///
+/// The table is drawn row by row as hypergeometric draws, which is exact
+/// for any row order, but only the non-null cells are resolved:
+///  * rows with no active non-empty column are never drawn;
+///  * within a drawn row, a column gets its own draw only while it is active
+///    for this row or for a later drawn row; every other column falls into
+///    one remainder lump, the row's last category, which needs no draw;
+///  * a row stops drawing once it is matched.
+/// So the joint law of the reported cells is exactly the contingency-table
+/// law projected onto the non-null cells. `cols` is clobbered (lumped
+/// columns end unspecified). `scratch` needs as many words as `active`.
+std::uint64_t sample_active_cells(util::Rng& rng,
+                                  std::span<const std::uint64_t> rows,
+                                  std::span<std::uint64_t> cols,
+                                  std::span<const std::uint64_t> active,
+                                  std::span<std::uint64_t> scratch,
+                                  std::vector<ContingencyCell>& out);
 
 /// Distribution of the collision-free prefix of the uniform scheduler over n
 /// agents: P(the first j interactions touch 2j distinct agents) =

@@ -1,6 +1,7 @@
 #include "kernel/compiled_protocol.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 
@@ -120,7 +121,9 @@ CompiledProtocol::CompiledProtocol(const pp::Protocol& protocol,
     }
   } else {
     kind_ = TableKind::kSparse;
-    count_sparse_hits_ = options.count_sparse_hits;
+    if (options.count_sparse_hits) {
+      hit_slots_ = std::make_unique<HitSlot[]>(kHitSlots + 1);
+    }
     const std::uint64_t slots =
         round_up_pow2(std::max<std::uint64_t>(options.sparse_slots, 1024));
     sparse_mask_ = slots - 1;
@@ -151,6 +154,38 @@ CompiledProtocol::SparseEntry CompiledProtocol::compute_entry(
   return {tr, flags};
 }
 
+namespace {
+// Bit i set: hit slot i is leased by a live thread.
+std::atomic<std::uint64_t> leased_hit_slots{0};
+}  // namespace
+
+std::size_t CompiledProtocol::lease_hit_slot() {
+  static_assert(kHitSlots == 64, "the lease map is one 64-bit word");
+  struct Lease {
+    std::size_t slot = kHitSlots;
+    ~Lease() {
+      if (slot < kHitSlots) {
+        // Release ordering hands this thread's last counts to the slot's
+        // next leaseholder.
+        leased_hit_slots.fetch_and(~(std::uint64_t{1} << slot),
+                                   std::memory_order_release);
+      }
+    }
+  };
+  thread_local Lease lease;
+  std::uint64_t taken = leased_hit_slots.load(std::memory_order_acquire);
+  while (taken != ~std::uint64_t{0}) {
+    const std::size_t slot = static_cast<std::size_t>(std::countr_one(taken));
+    if (leased_hit_slots.compare_exchange_weak(
+            taken, taken | (std::uint64_t{1} << slot),
+            std::memory_order_acq_rel, std::memory_order_acquire)) {
+      lease.slot = slot;
+      return slot;
+    }
+  }
+  return kHitSlots;  // every slot leased: the shared slot
+}
+
 CompileStats CompiledProtocol::stats() const {
   CompileStats stats;
   stats.kind = kind_;
@@ -169,7 +204,11 @@ CompileStats CompiledProtocol::stats() const {
                    sizeof(std::uint64_t) + sizeof(std::uint8_t));
     stats.sparse_filled = sparse_filled_.load(std::memory_order_relaxed);
     stats.sparse_overflow = sparse_overflow_.load(std::memory_order_relaxed);
-    stats.sparse_hits = sparse_hits_.load(std::memory_order_relaxed);
+    if (hit_slots_ != nullptr) {
+      for (std::size_t i = 0; i <= kHitSlots; ++i) {
+        stats.sparse_hits += hit_slots_[i].hits.load(std::memory_order_relaxed);
+      }
+    }
   }
   stats.bytes += outputs_.size() * sizeof(pp::OutputSymbol) +
                  inputs_.size() * sizeof(pp::StateId);

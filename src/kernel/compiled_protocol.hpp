@@ -73,10 +73,12 @@ struct CompileOptions {
   /// which sit on no steady-state path.
   std::uint64_t max_output_states = 1ull << 24;
 
-  /// Count sparse-cache hits (one relaxed fetch_add per probe that lands on
-  /// a materialized entry). Off by default: the hit path is THE hot path of
-  /// large-state-space runs, so the counter is opt-in telemetry — the
-  /// BatchRunner enables it for specs with a metrics registry attached.
+  /// Count sparse-cache hits (one increment per probe that lands on a
+  /// materialized entry, into the calling thread's own cache-line-padded
+  /// slot, so concurrent trials never contend on one counter). Off by
+  /// default: the hit path is THE hot path of large-state-space runs, so the
+  /// counter is opt-in telemetry — the BatchRunner enables it for specs with
+  /// a metrics registry attached.
   bool count_sparse_hits = false;
 
   /// Preset for one-shot compiles (a kernel built for a single run, e.g.
@@ -108,7 +110,7 @@ struct CompileStats {
   std::uint64_t sparse_filled = 0;
   std::uint64_t sparse_overflow = 0;
   /// Sparse only, and only when CompileOptions::count_sparse_hits: lookups
-  /// served from a materialized entry.
+  /// served from a materialized entry (summed over the per-thread slots).
   std::uint64_t sparse_hits = 0;
 
   /// "dense 531441 entries, 4.6 MiB, built in 3.2 ms".
@@ -227,6 +229,20 @@ class CompiledProtocol {
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
   static constexpr std::uint64_t kBusyKey = ~std::uint64_t{0} - 1;
 
+  /// Sparse-hit counter shards, one cache line each. A thread leases one of
+  /// the first kHitSlots for its lifetime (released when it exits) and, as
+  /// its only writer, counts there without a locked add; a thread that
+  /// finds every slot leased counts into the shared last slot with
+  /// fetch_add. Either way the sum stays exact.
+  static constexpr std::size_t kHitSlots = 64;
+  struct alignas(64) HitSlot {
+    std::atomic<std::uint64_t> hits{0};
+  };
+  /// This thread's slot index, leased on first use.
+  static std::size_t hit_slot();
+  static std::size_t lease_hit_slot();
+  void count_hit() const;
+
   SparseEntry sparse_lookup(pp::StateId a, pp::StateId b) const;
   SparseEntry compute_entry(pp::StateId a, pp::StateId b) const;
 
@@ -259,9 +275,28 @@ class CompiledProtocol {
   std::unique_ptr<std::uint8_t[]> vflags_;
   mutable std::atomic<std::uint64_t> sparse_filled_{0};
   mutable std::atomic<std::uint64_t> sparse_overflow_{0};
-  bool count_sparse_hits_ = false;
-  mutable std::atomic<std::uint64_t> sparse_hits_{0};
+  // kHitSlots + 1 slots (the last is the shared one); null unless
+  // CompileOptions::count_sparse_hits.
+  std::unique_ptr<HitSlot[]> hit_slots_;
 };
+
+inline std::size_t CompiledProtocol::hit_slot() {
+  constexpr std::size_t kUnleased = ~std::size_t{0};
+  thread_local std::size_t slot = kUnleased;
+  if (slot == kUnleased) slot = lease_hit_slot();
+  return slot;
+}
+
+inline void CompiledProtocol::count_hit() const {
+  const std::size_t slot = hit_slot();
+  std::atomic<std::uint64_t>& hits = hit_slots_[slot].hits;
+  if (slot < kHitSlots) {
+    hits.store(hits.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  } else {
+    hits.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 inline CompiledProtocol::SparseEntry CompiledProtocol::sparse_lookup(
     pp::StateId a, pp::StateId b) const {
@@ -277,9 +312,7 @@ inline CompiledProtocol::SparseEntry CompiledProtocol::sparse_lookup(
   for (int probe = 0; probe < kMaxProbes; ++probe) {
     std::uint64_t slot = keys_[idx].load(std::memory_order_acquire);
     if (slot == key) {
-      if (count_sparse_hits_) {
-        sparse_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (hit_slots_ != nullptr) count_hit();
       const std::uint64_t packed = values_[idx];
       return {{static_cast<pp::StateId>(packed >> 32),
                static_cast<pp::StateId>(packed)},

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -186,6 +187,198 @@ TEST(LastSpecialSlotTest, MatchesExactDistribution) {
   EXPECT_NEAR(freq[3], 0.2, 0.01);
   EXPECT_NEAR(freq[4], 0.3, 0.01);
   EXPECT_NEAR(freq[5], 0.4, 0.01);
+}
+
+// --- null-aware contingency sampling ---------------------------------------
+
+/// Exact law of the non-null cells: enumerates every table with the given
+/// margins, weighs it by P(N) = prod r_a! prod c_j! / (L! prod N_aj!), and
+/// sums the mass of tables that agree on the active cells.
+std::map<std::vector<std::uint64_t>, double> exact_active_cell_law(
+    const std::vector<std::uint64_t>& rows,
+    const std::vector<std::uint64_t>& cols,
+    const std::vector<std::uint8_t>& active) {
+  const std::size_t num_rows = rows.size();
+  const std::size_t num_cols = cols.size();
+  std::uint64_t total = 0;
+  double log_margins = 0.0;
+  for (const auto r : rows) log_margins += log_factorial(r);
+  for (const auto c : cols) {
+    log_margins += log_factorial(c);
+    total += c;
+  }
+  log_margins -= log_factorial(total);
+
+  std::map<std::vector<std::uint64_t>, double> law;
+  std::vector<std::uint64_t> table(num_rows * num_cols, 0);
+  std::vector<std::uint64_t> col_left = cols;
+  std::function<void(std::size_t, std::uint64_t)> fill =
+      [&](std::size_t cell, std::uint64_t row_left) {
+        const std::size_t a = cell / num_cols;
+        const std::size_t j = cell % num_cols;
+        if (j == num_cols - 1) {
+          // The row's last cell takes what the row has left.
+          if (row_left > col_left[j]) return;
+          table[cell] = row_left;
+          col_left[j] -= row_left;
+          if (a + 1 < num_rows) {
+            fill(cell + 1, rows[a + 1]);
+          } else {
+            double log_p = log_margins;
+            std::vector<std::uint64_t> key;
+            for (std::size_t k = 0; k < table.size(); ++k) {
+              log_p -= log_factorial(table[k]);
+              if (active[k] != 0) key.push_back(table[k]);
+            }
+            law[key] += std::exp(log_p);
+          }
+          col_left[j] += row_left;
+          return;
+        }
+        for (std::uint64_t m = 0; m <= std::min(row_left, col_left[j]); ++m) {
+          table[cell] = m;
+          col_left[j] -= m;
+          fill(cell + 1, row_left - m);
+          col_left[j] += m;
+        }
+      };
+  fill(0, rows[0]);
+  return law;
+}
+
+/// The sampler's bitmask rows for a row-major 0/1 activity matrix.
+std::vector<std::uint64_t> activity_masks(const std::vector<std::uint8_t>& active,
+                                          std::size_t num_cols) {
+  const std::size_t words = active_words(num_cols);
+  const std::size_t num_rows = active.size() / num_cols;
+  std::vector<std::uint64_t> masks(num_rows * words, 0);
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    for (std::size_t j = 0; j < num_cols; ++j) {
+      if (active[i * num_cols + j] != 0) {
+        masks[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+    }
+  }
+  return masks;
+}
+
+/// Chi-square goodness of fit of sample_active_cells against the exact law
+/// of the active cells, at alpha = 1e-3 with a fixed seed. Bins expecting
+/// fewer than 5 samples are pooled into one.
+void expect_active_cells_match_exact_law(
+    const std::vector<std::uint64_t>& rows,
+    const std::vector<std::uint64_t>& cols,
+    const std::vector<std::uint8_t>& active, std::uint64_t seed) {
+  const auto law = exact_active_cell_law(rows, cols, active);
+  double mass = 0.0;
+  for (const auto& [key, p] : law) mass += p;
+  ASSERT_NEAR(mass, 1.0, 1e-9);
+
+  std::vector<std::size_t> active_index(active.size(), 0);
+  std::size_t num_active = 0;
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    if (active[k] != 0) active_index[k] = num_active++;
+  }
+  util::Rng rng(seed);
+  const std::vector<std::uint64_t> masks = activity_masks(active, cols.size());
+  std::vector<std::uint64_t> scratch(masks.size());
+  std::vector<ContingencyCell> out;
+  std::map<std::vector<std::uint64_t>, double> observed;
+  const int samples = 200000;
+  for (int i = 0; i < samples; ++i) {
+    std::vector<std::uint64_t> col_left = cols;
+    out.clear();
+    sample_active_cells(rng, rows, col_left, masks, scratch, out);
+    std::vector<std::uint64_t> key(num_active, 0);
+    for (const ContingencyCell& cell : out) {
+      const std::size_t k = cell.row * cols.size() + cell.col;
+      ASSERT_NE(active[k], 0) << "reported a null cell";
+      ASSERT_GT(cell.m, 0u);
+      key[active_index[k]] += cell.m;
+    }
+    ASSERT_TRUE(law.count(key)) << "sampled a projection of zero mass";
+    observed[key] += 1.0;
+  }
+
+  double chi2 = 0.0;
+  double pooled_expected = 0.0;
+  double pooled_observed = 0.0;
+  int bins = 0;
+  for (const auto& [key, p] : law) {
+    const double expected = p * samples;
+    const double seen = observed.count(key) ? observed.at(key) : 0.0;
+    if (expected < 5.0) {
+      pooled_expected += expected;
+      pooled_observed += seen;
+      continue;
+    }
+    chi2 += (seen - expected) * (seen - expected) / expected;
+    ++bins;
+  }
+  if (pooled_expected > 0.0) {
+    chi2 += (pooled_observed - pooled_expected) *
+            (pooled_observed - pooled_expected) / pooled_expected;
+    ++bins;
+  }
+  ASSERT_GE(bins, 2);
+  // Wilson-Hilferty upper quantile of chi-square(df) at alpha = 1e-3
+  // (z = 3.0902).
+  const double df = bins - 1;
+  const double h = 2.0 / (9.0 * df);
+  const double critical = df * std::pow(1.0 - h + 3.0902 * std::sqrt(h), 3);
+  EXPECT_LT(chi2, critical) << "df=" << df;
+}
+
+TEST(SampleActiveCellsTest, MatchesTheExactTableLawOnTheNonNullCells) {
+  // 4 x 4, L = 8. Row 1 is fully null (never drawn); column 1 is active
+  // only for row 0 (it retires into the lump after it); column 3 is active
+  // only for the last row.
+  const std::vector<std::uint64_t> rows = {2, 3, 1, 2};
+  const std::vector<std::uint64_t> cols = {3, 1, 2, 2};
+  const std::vector<std::uint8_t> active = {
+      1, 1, 0, 0,  //
+      0, 0, 0, 0,  //
+      1, 0, 1, 0,  //
+      0, 0, 0, 1,  //
+  };
+  expect_active_cells_match_exact_law(rows, cols, active, 2026);
+}
+
+TEST(SampleActiveCellsTest, AllActiveCellsGiveTheFullTableLaw) {
+  const std::vector<std::uint64_t> rows = {3, 2, 3};
+  const std::vector<std::uint64_t> cols = {2, 4, 2};
+  const std::vector<std::uint8_t> active(9, 1);
+  expect_active_cells_match_exact_law(rows, cols, active, 77);
+}
+
+TEST(SampleActiveCellsTest, SkipsNullRowsAndLumpsRetiredColumns) {
+  // Only cell (2, 0) is non-null: rows 0, 1 and 3 are never drawn and
+  // columns 1..3 share one lump, so the table costs a single draw.
+  const std::vector<std::uint64_t> rows = {2, 3, 1, 2};
+  const std::vector<std::uint64_t> cols = {3, 1, 2, 2};
+  std::vector<std::uint64_t> masks(4, 0);
+  masks[2] = 1;  // row 2, column 0
+  util::Rng rng(5);
+  std::vector<std::uint64_t> scratch(masks.size());
+  std::vector<ContingencyCell> out;
+  for (int i = 0; i < 100; ++i) {
+    std::vector<std::uint64_t> col_left = cols;
+    out.clear();
+    EXPECT_EQ(sample_active_cells(rng, rows, col_left, masks, scratch, out),
+              1u);
+    for (const ContingencyCell& cell : out) {
+      EXPECT_EQ(cell.row, 2u);
+      EXPECT_EQ(cell.col, 0u);
+      EXPECT_EQ(cell.m, 1u);
+    }
+  }
+  // An all-null table draws nothing.
+  std::fill(masks.begin(), masks.end(), 0);
+  std::vector<std::uint64_t> col_left = cols;
+  out.clear();
+  EXPECT_EQ(sample_active_cells(rng, rows, col_left, masks, scratch, out),
+            0u);
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

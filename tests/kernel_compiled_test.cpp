@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pp/silence.hpp"
@@ -202,6 +204,49 @@ TEST(CompiledProtocolTest, SparseCacheIsThreadSafe) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(compiled.stats().sparse_filled, 0u);
+}
+
+TEST(CompiledProtocolTest, ShardedSparseHitCountStaysExactAcrossThreads) {
+  // Threads hammer lookups of pairs that are all materialized up front, so
+  // every lookup is a hit: the per-thread slots must sum to exactly the
+  // number of lookups made. 4 threads each lease a slot of their own; 80
+  // live at once run out of slots, and the rest share the fallback slot.
+  const auto protocol =
+      sim::ProtocolRegistry::global().create("circles", {.k = 8});
+  kernel::CompileOptions options;
+  options.max_dense_entries = 0;
+  options.count_sparse_hits = true;
+  const kernel::CompiledProtocol compiled(*protocol, options);
+  const std::uint64_t ns = protocol->num_states();
+  std::vector<std::pair<pp::StateId, pp::StateId>> pairs;
+  util::Rng rng(31);
+  for (int i = 0; i < 256; ++i) {
+    pairs.emplace_back(static_cast<pp::StateId>(rng.uniform_below(ns)),
+                       static_cast<pp::StateId>(rng.uniform_below(ns)));
+  }
+  for (const auto& [a, b] : pairs) (void)compiled.transition(a, b);
+  ASSERT_EQ(compiled.stats().sparse_overflow, 0u);
+
+  for (const int num_threads : {4, 80}) {
+    const std::uint64_t before = compiled.stats().sparse_hits;
+    const int lookups = num_threads == 4 ? 200'000 : 5'000;
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int worker = 0; worker < num_threads; ++worker) {
+      threads.emplace_back([&, worker]() {
+        ready.fetch_add(1);
+        while (ready.load() < num_threads) std::this_thread::yield();
+        for (int i = 0; i < lookups; ++i) {
+          const auto& [a, b] = pairs[(i * 7 + worker) % pairs.size()];
+          (void)compiled.nonnull(a, b);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(compiled.stats().sparse_hits - before,
+              static_cast<std::uint64_t>(num_threads) * lookups)
+        << num_threads << " threads";
+  }
 }
 
 TEST(CompiledProtocolTest, ConfigSilentAgreesWithIsSilent) {
