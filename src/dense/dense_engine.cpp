@@ -20,6 +20,13 @@ namespace {
 /// Sentinel "no state excluded" for the categorical walks below.
 constexpr std::uint64_t kNoExclude = ~std::uint64_t{0};
 
+/// The cost of one fast-forward jump (an active-pair draw plus the O(U +
+/// degree) count update) in units of one hypergeometric draw of an epoch,
+/// the measure of an epoch's cost. Measured on circles k=3 n=10^7 single-urn
+/// runs (see CHANGES.md); run_batched jumps instead of running an epoch when
+/// expected_changes * kJumpCostDraws falls below the previous epoch's draws.
+constexpr double kJumpCostDraws = 1.8;
+
 /// Span decimation: the first kTraceFullEpochs epochs (and fast-forward
 /// jumps, and pooled stage regions) get full begin/end spans — enough to see
 /// the run's structure in a timeline — after which epochs collapse to one
@@ -103,6 +110,10 @@ struct DenseEngine::Sim {
     std::span<std::uint64_t> used;  // arena slab row
     std::vector<pp::StateId> touched;
     std::uint64_t used_total = 0;
+    // Epoch scratch: net count deltas of this epoch's productive groups
+    // (two's complement), flushed through change() and reset via `dirty`.
+    std::span<std::uint64_t> delta;  // arena slab row
+    std::vector<pp::StateId> dirty;
   };
 
   const DenseEngine& engine;
@@ -123,11 +134,24 @@ struct DenseEngine::Sim {
   // zero iff the configuration is silent under the lumped scheduler (the
   // exact certificate).
   std::span<std::uint64_t> active;
-  // row_sums[b * num_states + s]: block b's active-pair mass with initiator
-  // state s, refreshed together with active[b]; pick_active_pair skips
-  // whole rows through it instead of rewalking every (s, t) product.
-  std::span<std::uint64_t> row_sums;
   std::uint64_t live_active = 0;
+
+  // Active-partner sums per (urn, state), urn-major, num_states wide:
+  // fwd[v * S + s] = A_v[s], the count in urn v of responders t with (s, t)
+  // non-null, and rev[u * S + t] = R_u[t], the count in urn u of initiators
+  // s with (s, t) non-null. Block (u, v) holds
+  //   active[(u, v)] = sum_s c_u[s] A_v[s] - [u == v] sum_s c_u[s] nn(s, s),
+  // so change() keeps the blocks current in O(U + degree) per count change,
+  // and pick_active_pair reads initiator row masses c_u[s] A_v[s] directly.
+  std::span<std::uint64_t> fwd;
+  std::span<std::uint64_t> rev;
+  // With a kernel adjacency index the sums cover every state. Without one,
+  // partners are found by walking `tracked`: every state present in some
+  // urn since the run began (never untracked; an untracked state has count
+  // zero in every urn), and fwd/rev hold the tracked states' sums only.
+  const kernel::CompiledProtocol* adjacency = nullptr;
+  std::vector<pp::StateId> tracked;
+  std::vector<std::uint8_t> is_tracked;
 
   // This run's span buffer (the run thread's; null = tracing off). Workers
   // resolve their own buffers through engine.options_.tracer inside
@@ -176,8 +200,11 @@ struct DenseEngine::Sim {
         arena.alloc<std::uint8_t>(num_urns * states);
     const std::span<std::uint64_t> used_flat =
         arena.alloc<std::uint64_t>(num_urns * states);
+    const std::span<std::uint64_t> delta_flat =
+        arena.alloc<std::uint64_t>(num_urns * states);
     active = arena.alloc<std::uint64_t>(num_blocks);
-    row_sums = arena.alloc<std::uint64_t>(num_blocks * states);
+    fwd = arena.alloc<std::uint64_t>(num_urns * states);
+    rev = arena.alloc<std::uint64_t>(num_urns * states);
 
     urns.resize(num_urns);
     for (std::size_t u = 0; u < num_urns; ++u) {
@@ -187,6 +214,7 @@ struct DenseEngine::Sim {
       urn.counts = counts_flat.subspan(u * states, states);
       urn.in_present = in_present_flat.subspan(u * states, states);
       urn.used = used_flat.subspan(u * states, states);
+      urn.delta = delta_flat.subspan(u * states, states);
       std::copy(urn.out.begin(), urn.out.end(), urn.counts.begin());
       for (std::size_t s = 0; s < urn.counts.size(); ++s) {
         urn.n += urn.counts[s];
@@ -224,7 +252,7 @@ struct DenseEngine::Sim {
         }
       }
     }
-    refresh_active();
+    init_active();
   }
 
   /// Copies the working counts back into the caller's storage. run_impl
@@ -313,70 +341,202 @@ struct DenseEngine::Sim {
     urn.present.resize(w);
   }
 
-  /// Recomputes block (u, v)'s active-pair count, filling its row_sums rows
-  /// as a side effect. The factored form c_i[s] * sum_t c_r[t] (minus the
-  /// diagonal's own-agent correction) runs one multiply per initiator row
-  /// and leaves the inner loop a pure vectorizable count gather; uint64
-  /// arithmetic is exact mod 2^64 and the true value fits, so the sum
-  /// matches the historical per-(s, t) product walk bit for bit.
-  std::uint64_t block_active(std::size_t u, std::size_t v) {
-    const Urn& urn_i = urns[u];
-    const Urn& urn_r = urns[v];
-    const bool diag = u == v;
-    std::uint64_t* rows = row_sums.data() + (u * num_urns + v) * engine.num_states_;
-    std::uint64_t sum = 0;
-    const kernel::CompiledProtocol* k = engine.kernel_;
-    if (k != nullptr && k->has_adjacency()) {
-      // The kernel's active-responder index skips null pairs wholesale.
-      for (const pp::StateId s : urn_i.present) {
-        std::uint64_t acc = 0;
-        for (const pp::StateId t : k->active_responders(s)) {
-          acc += urn_r.counts[t];
-        }
-        std::uint64_t row = urn_i.counts[s] * acc;
-        // On diagonal blocks an agent cannot meet itself: one unit of
-        // responder mass per initiator agent disappears iff (s, s) is
-        // non-null (then and only then did the walk above count it).
-        if (diag && engine.nonnull(s, s)) row -= urn_i.counts[s];
-        rows[s] = row;
-        sum += row;
-      }
-    } else {
-      for (const pp::StateId s : urn_i.present) {
-        std::uint64_t acc = 0;
-        for (const pp::StateId t : urn_r.present) {
-          if (!engine.nonnull(s, t)) continue;
-          acc += urn_r.counts[t];
-        }
-        std::uint64_t row = urn_i.counts[s] * acc;
-        // diag implies urn_r == urn_i, so s is in urn_r.present and the
-        // walk counted (s, s) iff it is non-null.
-        if (diag && engine.nonnull(s, s)) row -= urn_i.counts[s];
-        rows[s] = row;
-        sum += row;
-      }
+  /// Calls fn(s) for every initiator s with (s, t) non-null.
+  template <typename Fn>
+  void for_each_initiator(pp::StateId t, Fn&& fn) const {
+    if (adjacency != nullptr) {
+      for (const pp::StateId s : adjacency->active_initiators(t)) fn(s);
+      return;
     }
-    return sum;
+    for (const pp::StateId s : tracked) {
+      if (engine.nonnull(s, t)) fn(s);
+    }
   }
 
-  void refresh_active() {
-    std::size_t total_present = 0;
-    for (Urn& urn : urns) {
-      compact(urn);
-      total_present += urn.present.size();
+  /// Calls fn(t) for every responder t with (s, t) non-null.
+  template <typename Fn>
+  void for_each_responder(pp::StateId s, Fn&& fn) const {
+    if (adjacency != nullptr) {
+      for (const pp::StateId t : adjacency->active_responders(s)) fn(t);
+      return;
     }
-    // Pool the per-block recomputes only when the O(present^2) work
-    // plausibly beats the dispatch overhead. The gate reads deterministic
-    // state only, and the per-block sums are identical either way.
-    const bool pooled = pool_threads > 1 && num_urns > 1 &&
-                        total_present * total_present >= 4096;
-    run_tasks(num_urns * num_urns, pooled, "dense.stage.active",
-              [this](std::size_t b) {
-                active[b] = block_active(b / num_urns, b % num_urns);
-              });
+    for (const pp::StateId t : tracked) {
+      if (engine.nonnull(s, t)) fn(t);
+    }
+  }
+
+  /// Sets A_v[q] and R_v[q] of every urn v from the counts (no-adjacency
+  /// mode: walks the tracked states).
+  void compute_sums(pp::StateId q, std::span<std::uint64_t> f,
+                    std::span<std::uint64_t> r) const {
+    const std::size_t states = engine.num_states_;
+    for (std::size_t v = 0; v < num_urns; ++v) {
+      f[v * states + q] = 0;
+      r[v * states + q] = 0;
+    }
+    for_each_responder(q, [&](pp::StateId t) {
+      for (std::size_t v = 0; v < num_urns; ++v) {
+        f[v * states + q] += urns[v].counts[t];
+      }
+    });
+    for_each_initiator(q, [&](pp::StateId t) {
+      for (std::size_t v = 0; v < num_urns; ++v) {
+        r[v * states + q] += urns[v].counts[t];
+      }
+    });
+  }
+
+  /// Full recompute of the partner sums and block counts from the counts
+  /// into f, r and act (f and r zeroed on entry): the setup path, and the
+  /// Debug cross-check of change(). uint64 arithmetic is exact mod 2^64 and
+  /// the true values fit, so incremental and full sums agree bit for bit.
+  void recompute(std::span<std::uint64_t> f, std::span<std::uint64_t> r,
+                 std::span<std::uint64_t> act) const {
+    const std::size_t states = engine.num_states_;
+    if (adjacency != nullptr) {
+      // Push each present state's count to its partners' sums.
+      for (std::size_t v = 0; v < num_urns; ++v) {
+        const Urn& urn = urns[v];
+        for (const pp::StateId s : urn.present) {
+          const std::uint64_t c = urn.counts[s];
+          for (const pp::StateId t : adjacency->active_responders(s)) {
+            r[v * states + t] += c;
+          }
+          for (const pp::StateId t : adjacency->active_initiators(s)) {
+            f[v * states + t] += c;
+          }
+        }
+      }
+    } else {
+      for (const pp::StateId q : tracked) compute_sums(q, f, r);
+    }
+    for (std::size_t u = 0; u < num_urns; ++u) {
+      const Urn& urn_i = urns[u];
+      for (std::size_t v = 0; v < num_urns; ++v) {
+        const std::uint64_t* a_v = f.data() + v * states;
+        std::uint64_t sum = 0;
+        for (const pp::StateId s : urn_i.present) {
+          const std::uint64_t c = urn_i.counts[s];
+          sum += c * a_v[s];
+          // On diagonal blocks an agent cannot meet itself.
+          if (u == v && engine.nonnull(s, s)) sum -= c;
+        }
+        act[u * num_urns + v] = sum;
+      }
+    }
+  }
+
+  /// Setup: compacts the urns and computes every active-pair count.
+  void init_active() {
+    const kernel::CompiledProtocol* k = engine.kernel_;
+    if (k != nullptr && k->has_adjacency()) adjacency = k;
+    for (Urn& urn : urns) compact(urn);
+    if (adjacency == nullptr) {
+      is_tracked.assign(engine.num_states_, 0);
+      for (const Urn& urn : urns) {
+        for (const pp::StateId s : urn.present) {
+          if (!is_tracked[s]) {
+            is_tracked[s] = 1;
+            tracked.push_back(s);
+          }
+        }
+      }
+    }
+    recompute(fwd, rev, active);
     live_active = 0;
     for (std::size_t b = 0; b < num_urns * num_urns; ++b) {
       if (rates[b] > 0.0) live_active += active[b];
+    }
+  }
+
+  /// Debug cross-check: the incrementally maintained sums and counts equal
+  /// a full recompute from the current counts.
+  bool matches_recompute() const {
+    std::vector<std::uint64_t> f(fwd.size()), r(rev.size()),
+        act(active.size());
+    recompute(f, r, act);
+    std::uint64_t live = 0;
+    for (std::size_t b = 0; b < act.size(); ++b) {
+      if (rates[b] > 0.0) live += act[b];
+    }
+    return std::equal(f.begin(), f.end(), fwd.begin()) &&
+           std::equal(r.begin(), r.end(), rev.begin()) &&
+           std::equal(act.begin(), act.end(), active.begin()) &&
+           live == live_active;
+  }
+
+  void bump_block(std::size_t b, std::uint64_t d) {
+    active[b] += d;
+    if (rates[b] > 0.0) live_active += d;
+  }
+
+  /// Adds d (two's complement, so -m is 0 - m) to urn x's count of state q
+  /// and updates the active-pair counts in O(U + degree): block (x, v)
+  /// gains d A_v[q], block (u, x) gains d R_u[q], and block (x, x) gains
+  /// d (A_x[q] + R_x[q]) + (d^2 - d) nn(q, q) (the cross term and the
+  /// own-agent correction); then A_x and R_x move over q's partners.
+  void change(std::size_t x, pp::StateId q, std::uint64_t d) {
+    if (adjacency == nullptr && !is_tracked[q]) {
+      // q has count zero everywhere, so no other state's sums include it.
+      is_tracked[q] = 1;
+      tracked.push_back(q);
+      compute_sums(q, fwd, rev);
+    }
+    const std::size_t states = engine.num_states_;
+    const std::uint64_t self = engine.nonnull(q, q) ? d * d - d : 0;
+    for (std::size_t v = 0; v < num_urns; ++v) {
+      if (v == x) {
+        bump_block(x * num_urns + x,
+                   d * (fwd[x * states + q] + rev[x * states + q]) + self);
+      } else {
+        bump_block(x * num_urns + v, d * fwd[v * states + q]);
+        bump_block(v * num_urns + x, d * rev[v * states + q]);
+      }
+    }
+    std::uint64_t* const f_x = fwd.data() + x * states;
+    std::uint64_t* const r_x = rev.data() + x * states;
+    for_each_initiator(q, [&](pp::StateId s) { f_x[s] += d; });
+    for_each_responder(q, [&](pp::StateId t) { r_x[t] += d; });
+    urns[x].counts[q] += d;
+  }
+
+  /// An epoch's draw count predicted from the configuration, standing in
+  /// for a measured one before the first epoch: one participant and one
+  /// role deal per live block side, plus one pairing draw per present
+  /// non-null (s, t) cell of every live block.
+  double estimate_epoch_draws() const {
+    std::uint64_t draws = 0;
+    for (std::size_t b = 0; b < num_urns * num_urns; ++b) {
+      if (rates[b] <= 0.0) continue;
+      const Urn& urn_i = urns[b / num_urns];
+      const Urn& urn_r = urns[b % num_urns];
+      draws += 2;
+      for (const pp::StateId s : urn_i.present) {
+        for_each_responder(s, [&](pp::StateId t) {
+          draws += urn_r.counts[t] > 0 ? 1 : 0;
+        });
+      }
+    }
+    return static_cast<double>(std::max<std::uint64_t>(draws, 1));
+  }
+
+  /// Records an epoch group's count delta for flush_deltas().
+  void add_delta(Urn& urn, pp::StateId s, std::uint64_t d) {
+    if (urn.delta[s] == 0) urn.dirty.push_back(s);
+    urn.delta[s] += d;
+  }
+
+  /// Applies every urn's net epoch deltas through change().
+  void flush_deltas() {
+    for (std::size_t x = 0; x < num_urns; ++x) {
+      Urn& urn = urns[x];
+      for (const pp::StateId s : urn.dirty) {
+        const std::uint64_t d = urn.delta[s];
+        if (d == 0) continue;  // netted out, or listed twice
+        urn.delta[s] = 0;
+        change(x, s, d);
+      }
+      urn.dirty.clear();
     }
   }
 
@@ -396,15 +556,25 @@ struct DenseEngine::Sim {
     return urn.present.back();
   }
 
+  /// Applies one state-changing interaction of block (bu, bv), then drops
+  /// the states it emptied from the two urns' present lists (the other
+  /// urns have none to drop).
   void apply(std::size_t bu, std::size_t bv, pp::StateId si, pp::StateId sr,
              const pp::Transition& tr) {
-    urns[bu].counts[si] -= 1;
-    urns[bv].counts[sr] -= 1;
-    urns[bu].counts[tr.initiator] += 1;
-    urns[bv].counts[tr.responder] += 1;
+    if (tr.initiator != si) {
+      change(bu, si, ~std::uint64_t{0});
+      change(bu, tr.initiator, 1);
+    }
+    if (tr.responder != sr) {
+      change(bv, sr, ~std::uint64_t{0});
+      change(bv, tr.responder, 1);
+    }
     note_state(urns[bu], tr.initiator);
     note_state(urns[bv], tr.responder);
     apply_agg(si, sr, tr, 1);
+    compact(urns[bu]);
+    if (bv != bu) compact(urns[bv]);
+    CIRCLES_DCHECK(matches_recompute());
   }
 
   /// Draw an ordered block with probability proportional to its rate.
@@ -440,21 +610,21 @@ struct DenseEngine::Sim {
   }
 
   /// Draw the ordered active state pair within block (bu, bv), conditioned
-  /// on being active (weights c_u[s] * (c_v[t] - [diag][s == t])). Every
-  /// call happens right after a refresh_active(), so row_sums is current:
-  /// whole initiator rows are skipped in O(1) and only the selected row
-  /// rewalks its responders — the same pair the historical full (s, t)
-  /// walk landed on, because each row's mass equals its walked prefix.
+  /// on being active (weights c_u[s] * (c_v[t] - [diag][s == t])). Whole
+  /// initiator rows are skipped in O(1) through their mass c_u[s] A_v[s]
+  /// (less the own-agent term) and only the selected row rewalks its
+  /// responders — the same pair a full (s, t) walk lands on, because each
+  /// row's mass equals its walked prefix.
   void pick_active_pair(std::size_t bu, std::size_t bv, pp::StateId& si,
                         pp::StateId& sr) {
     const Urn& urn_i = urns[bu];
     const Urn& urn_r = urns[bv];
     const bool diag = bu == bv;
-    const std::uint64_t* rows =
-        row_sums.data() + (bu * num_urns + bv) * engine.num_states_;
+    const std::uint64_t* a_v = fwd.data() + bv * engine.num_states_;
     std::uint64_t r = rng.uniform_below(active[bu * num_urns + bv]);
     for (const pp::StateId s : urn_i.present) {
-      const std::uint64_t row = rows[s];
+      std::uint64_t row = urn_i.counts[s] * a_v[s];
+      if (diag && engine.nonnull(s, s)) row -= urn_i.counts[s];
       if (r >= row) {
         r -= row;
         continue;
@@ -717,7 +887,6 @@ void DenseEngine::run_per_step(Sim& sim, pp::RunResult& result,
       sim.apply(bu, bv, si, sr, tr);
       result.state_changes += 1;
       result.last_change_step = result.interactions;
-      sim.refresh_active();
     }
     result.interactions += 1;
     if (options_.stop_when_silent && sim.live_active == 0) {
@@ -750,9 +919,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
   std::optional<CollisionFreeRunLength> run_length;
   if (single) run_length.emplace(sim.n);
 
-  // Expected epoch length, for the fast-forward threshold only (any value
-  // yields an exact sampler; this is purely a performance knob). Multi-urn:
-  // birthday heuristic — collisions appear once sum_u (drawn_u^2 / n_u) ~ 2.
+  // Expected epoch length, for the epoch-vs-jump price only (any value
+  // yields an exact sampler; this is purely a performance choice).
+  // Multi-urn: birthday heuristic — collisions appear once
+  // sum_u (drawn_u^2 / n_u) ~ 2.
   double epoch_mean;
   if (single) {
     epoch_mean = run_length->mean_length();
@@ -777,6 +947,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
   if (pooled) warm_log_factorial();
 
   LastChangeMark mark;
+
+  // Draws made by the latest epoch, and the run's draw total before it.
+  double epoch_draws = sim.estimate_epoch_draws();
+  std::uint64_t draws_before = 0;
 
   // Per-epoch scratch, carved from the run's arena once: stride-S rows per
   // block for the role deals, per-urn rows for the participant draws. Only
@@ -841,19 +1015,20 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     const std::uint64_t remaining =
         options_.max_interactions - result.interactions;
 
-    // Sparse-activity fast-forward: an epoch costs a fixed O(present^2)
+    // Sparse-activity fast-forward: an epoch costs about its draw count
     // regardless of how many of its interactions change state, while the
-    // geometric path pays O(present^2) per *change* (the null run in
-    // between is one log). Below ~3 expected changes per epoch the
-    // geometric path wins; it is an exact sampler either way, so the
-    // threshold is purely a performance knob.
+    // geometric path pays one jump per *change* (the null run in between is
+    // one log). So jump while the expected changes of an epoch, priced at
+    // kJumpCostDraws each, cost less than the draws the previous epoch made
+    // (the configuration's estimate before the first). Both paths are exact
+    // samplers; the price only decides which is cheaper.
     double p_change = 0.0;
     for (std::size_t b = 0; b < num_blocks; ++b) {
       if (sim.rates[b] <= 0.0) continue;
       p_change += sim.rates[b] *
                   (static_cast<double>(sim.active[b]) / sim.pair_capacity[b]);
     }
-    if (p_change * epoch_mean < 3.0) {
+    if (p_change * epoch_mean * kJumpCostDraws < epoch_draws) {
       std::uint64_t nulls = remaining;
       if (p_change > 0.0) {
         const double g = std::floor(std::log1p(-rng.uniform01()) /
@@ -893,7 +1068,6 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       mark.exact = true;
       mark.index = result.interactions;
       result.interactions += 1;
-      sim.refresh_active();
       if (options_.stop_when_silent && sim.live_active == 0) {
         result.silent = true;
       }
@@ -1138,6 +1312,15 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     };
     sim.run_tasks(num_blocks, pooled, "dense.stage.pair", pair_block);
 
+    // This epoch's draws price the next epoch-vs-jump decision (at least
+    // one, so a silent configuration always fast-forwards).
+    std::uint64_t draws_now = 0;
+    for (std::size_t u = 0; u < u_count; ++u) draws_now += mvhg_draws[u];
+    for (std::size_t b = 0; b < num_blocks; ++b) draws_now += pair_draws[b];
+    epoch_draws = static_cast<double>(
+        std::max<std::uint64_t>(draws_now - draws_before, 1));
+    draws_before = draws_now;
+
     // Rebuild the used masses (the post-epoch states of this epoch's
     // participants, which collision resolution reads): every dealt
     // participant at its pre-epoch state, then the productive groups'
@@ -1163,10 +1346,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       Sim::Urn& urn_i = sim.urns[b / u_count];
       Sim::Urn& urn_r = sim.urns[b % u_count];
       for (const PairGroup& g : groups[b]) {
-        urn_i.counts[g.s] -= g.m;
-        urn_r.counts[g.t] -= g.m;
-        urn_i.counts[g.tr.initiator] += g.m;
-        urn_r.counts[g.tr.responder] += g.m;
+        sim.add_delta(urn_i, g.s, 0 - g.m);
+        sim.add_delta(urn_r, g.t, 0 - g.m);
+        sim.add_delta(urn_i, g.tr.initiator, g.m);
+        sim.add_delta(urn_r, g.tr.responder, g.m);
         sim.note_state(urn_i, g.tr.initiator);
         sim.note_state(urn_r, g.tr.responder);
         sim.touch_used(urn_i, g.tr.initiator, g.m);
@@ -1184,6 +1367,12 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         sim.untouch_used(urn_i, g.s, g.m);
         sim.untouch_used(urn_r, g.t, g.m);
       }
+    }
+    // The epoch's net per-(urn, state) count changes update the active-pair
+    // counts; a change-free epoch leaves both untouched.
+    if (epoch_productive > 0) {
+      sim.flush_deltas();
+      CIRCLES_DCHECK(sim.matches_recompute());
     }
 
     const std::uint64_t epoch_start = result.interactions;
@@ -1263,9 +1452,11 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       result.interactions += 1;
     }
 
-    // A change-free epoch leaves the configuration — and therefore the
-    // active-pair counts — untouched.
-    if (epoch_productive > 0) sim.refresh_active();
+    // Emptied states leave the present lists only now, after the collision:
+    // a state the collision refills keeps its place in the walk order.
+    if (epoch_productive > 0) {
+      for (Sim::Urn& urn : sim.urns) sim.compact(urn);
+    }
     if (options_.stop_when_silent && sim.live_active == 0) {
       result.silent = true;
     }

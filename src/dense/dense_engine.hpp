@@ -18,9 +18,10 @@
 //    exactly as the lumped scheduler would: initiator weighted by the
 //    initiator urn's counts, responder by the responder urn's counts (with
 //    the initiator removed on intra blocks). A null interaction costs
-//    O(present states) and a state change O(U^2 * present^2) (the per-block
-//    active-pair counts are recomputed), all independent of n. This is the
-//    reference semantics used by the cross-validation tests.
+//    O(present states) and a state change O(U + degree) (the per-block
+//    active-pair counts are updated incrementally, see below), all
+//    independent of n. This is the reference semantics used by the
+//    cross-validation tests.
 //
 //  * kBatched — the sqrt(n) batching of Berenbrink et al., "Simulating
 //    Population Protocols in Sub-Constant Time per Interaction" (ESA 2020),
@@ -37,13 +38,27 @@
 //    the table's non-null cells (sample_active_cells in dense/sampling.hpp
 //    — rows with no non-null partner are never drawn, and columns no
 //    remaining row can change with are lumped), which is still the exact
-//    law of every state-changing group. When activity is sparse (fewer
-//    than ~3 expected state changes per epoch) the engine switches to
-//    geometric fast-forward: the number of null interactions before the next
-//    state change is Geometric(p) with p = sum_b rate_b * active_b /
-//    pairs_b, so null-dominated phases — the dominant regime of slow-mixing
-//    clustered runs — cost O(U^2 * present^2) per state change instead of
-//    O(1) per interaction.
+//    law of every state-changing group. When activity is sparse the engine
+//    switches to geometric fast-forward: the number of null interactions
+//    before the next state change is Geometric(p) with p = sum_b rate_b *
+//    active_b / pairs_b, so null-dominated phases — the dominant regime of
+//    slow-mixing clustered runs — cost one active-pair draw and an
+//    O(U + degree) update per state change instead of O(1) per
+//    interaction. The choice is priced: the engine jumps while an epoch's
+//    expected state changes, at a measured kJumpCostDraws hypergeometric
+//    draws each, cost less than the draws the previous epoch made (an
+//    estimate from the configuration before the first epoch).
+//
+// Active-pair bookkeeping: per urn the engine keeps the active-partner sums
+// A_v[s] (urn v's count of responders t with (s, t) non-null) and R_u[t]
+// (urn u's count of initiators s with (s, t) non-null). A change of c_x[q]
+// by d then moves block (x, v) by d A_v[q], block (u, x) by d R_u[q] and
+// block (x, x) by d (A_x[q] + R_x[q]) + (d^2 - d) nn(q, q), after which
+// A_x and R_x move over q's kernel adjacency (over the states seen so far
+// when the kernel has none): O(U + degree) per change, applied to every
+// per-step interaction, jump, collision and productive epoch's net
+// per-(urn, state) deltas. Debug builds check every update against a full
+// recompute.
 //
 // Both modes sample the same lumped Markov chain as pp::Engine under the
 // corresponding scheduler (agents within an urn are anonymous, so the
@@ -68,9 +83,9 @@
 // deals and per-block contingency pairing write task-indexed disjoint
 // state, and the recorded transition groups are applied serially in
 // ascending (block, group) order. EngineOptions::run_threads > 1 fans the
-// stages (and the per-block active-pair refresh) out across
-// util::ThreadPool::shared(); results are bitwise identical for every
-// thread count, including 1. Single-urn runs and per-step mode never pool.
+// stages out across util::ThreadPool::shared(); results are bitwise
+// identical for every thread count, including 1. Single-urn runs and
+// per-step mode never pool.
 #pragma once
 
 #include <cstdint>

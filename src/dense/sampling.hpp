@@ -18,9 +18,12 @@
 
 namespace circles::dense {
 
-/// log(x!) — table-backed for small x, Stirling series beyond (relative
-/// error < 1e-14 there, far below the samplers' inversion tolerance).
+/// log(x!) — table-backed for x < 16384, log_factorial_series beyond.
 double log_factorial(std::uint64_t x);
+
+/// The Stirling series for log(x!), x >= 1 (relative error < 1e-14 from
+/// x = 2048 on, far below the samplers' inversion tolerance).
+double log_factorial_series(std::uint64_t x);
 
 /// Forces the shared log-factorial table to build now. The table is a
 /// thread-safe magic static either way; warming it from an engine's serial

@@ -1,7 +1,6 @@
 #include "kernel/compiled_protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 
@@ -88,6 +87,7 @@ CompiledProtocol::CompiledProtocol(const pp::Protocol& protocol,
     table_.resize(entries);
     flags_.resize(entries);
     std::vector<std::uint32_t> degree(num_states_, 0);
+    std::vector<std::uint32_t> in_degree(num_states_, 0);
     for (std::uint64_t a = 0; a < num_states_; ++a) {
       for (std::uint64_t b = 0; b < num_states_; ++b) {
         const auto sa = static_cast<pp::StateId>(a);
@@ -99,31 +99,37 @@ CompiledProtocol::CompiledProtocol(const pp::Protocol& protocol,
         if (entry.flags & kNonNull) {
           nonnull_pairs_ += 1;
           degree[a] += 1;
+          in_degree[b] += 1;
         }
       }
     }
     if (options.build_adjacency) {
       adjacency_offsets_.resize(num_states_ + 1, 0);
+      reverse_offsets_.resize(num_states_ + 1, 0);
       for (std::uint64_t s = 0; s < num_states_; ++s) {
         adjacency_offsets_[s + 1] = adjacency_offsets_[s] + degree[s];
+        reverse_offsets_[s + 1] = reverse_offsets_[s] + in_degree[s];
       }
       adjacency_partners_.resize(nonnull_pairs_);
+      reverse_partners_.resize(nonnull_pairs_);
       std::vector<std::size_t> cursor(adjacency_offsets_.begin(),
                                       adjacency_offsets_.end() - 1);
+      std::vector<std::size_t> reverse_cursor(reverse_offsets_.begin(),
+                                              reverse_offsets_.end() - 1);
+      // Row-major order fills both indices ascending.
       for (std::uint64_t a = 0; a < num_states_; ++a) {
         const std::size_t row = static_cast<std::size_t>(a) * num_states_;
         for (std::uint64_t b = 0; b < num_states_; ++b) {
           if (flags_[row + b] & kNonNull) {
             adjacency_partners_[cursor[a]++] = static_cast<pp::StateId>(b);
+            reverse_partners_[reverse_cursor[b]++] =
+                static_cast<pp::StateId>(a);
           }
         }
       }
     }
   } else {
     kind_ = TableKind::kSparse;
-    if (options.count_sparse_hits) {
-      hit_slots_ = std::make_unique<HitSlot[]>(kHitSlots + 1);
-    }
     const std::uint64_t slots =
         round_up_pow2(std::max<std::uint64_t>(options.sparse_slots, 1024));
     sparse_mask_ = slots - 1;
@@ -154,38 +160,6 @@ CompiledProtocol::SparseEntry CompiledProtocol::compute_entry(
   return {tr, flags};
 }
 
-namespace {
-// Bit i set: hit slot i is leased by a live thread.
-std::atomic<std::uint64_t> leased_hit_slots{0};
-}  // namespace
-
-std::size_t CompiledProtocol::lease_hit_slot() {
-  static_assert(kHitSlots == 64, "the lease map is one 64-bit word");
-  struct Lease {
-    std::size_t slot = kHitSlots;
-    ~Lease() {
-      if (slot < kHitSlots) {
-        // Release ordering hands this thread's last counts to the slot's
-        // next leaseholder.
-        leased_hit_slots.fetch_and(~(std::uint64_t{1} << slot),
-                                   std::memory_order_release);
-      }
-    }
-  };
-  thread_local Lease lease;
-  std::uint64_t taken = leased_hit_slots.load(std::memory_order_acquire);
-  while (taken != ~std::uint64_t{0}) {
-    const std::size_t slot = static_cast<std::size_t>(std::countr_one(taken));
-    if (leased_hit_slots.compare_exchange_weak(
-            taken, taken | (std::uint64_t{1} << slot),
-            std::memory_order_acq_rel, std::memory_order_acquire)) {
-      lease.slot = slot;
-      return slot;
-    }
-  }
-  return kHitSlots;  // every slot leased: the shared slot
-}
-
 CompileStats CompiledProtocol::stats() const {
   CompileStats stats;
   stats.kind = kind_;
@@ -195,8 +169,10 @@ CompileStats CompiledProtocol::stats() const {
   if (kind_ == TableKind::kDense) {
     stats.entries = static_cast<std::uint64_t>(table_.size());
     stats.bytes = table_.size() * sizeof(pp::Transition) + flags_.size() +
-                  adjacency_offsets_.size() * sizeof(std::size_t) +
-                  adjacency_partners_.size() * sizeof(pp::StateId);
+                  (adjacency_offsets_.size() + reverse_offsets_.size()) *
+                      sizeof(std::size_t) +
+                  (adjacency_partners_.size() + reverse_partners_.size()) *
+                      sizeof(pp::StateId);
   } else {
     stats.entries = sparse_mask_ + 1;
     stats.bytes = (sparse_mask_ + 1) *
@@ -204,11 +180,7 @@ CompileStats CompiledProtocol::stats() const {
                    sizeof(std::uint64_t) + sizeof(std::uint8_t));
     stats.sparse_filled = sparse_filled_.load(std::memory_order_relaxed);
     stats.sparse_overflow = sparse_overflow_.load(std::memory_order_relaxed);
-    if (hit_slots_ != nullptr) {
-      for (std::size_t i = 0; i <= kHitSlots; ++i) {
-        stats.sparse_hits += hit_slots_[i].hits.load(std::memory_order_relaxed);
-      }
-    }
+    stats.sparse_hits = sparse_hits_.load(std::memory_order_relaxed);
   }
   stats.bytes += outputs_.size() * sizeof(pp::OutputSymbol) +
                  inputs_.size() * sizeof(pp::StateId);

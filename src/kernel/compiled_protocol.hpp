@@ -10,8 +10,10 @@
 //  * per-pair flags — null-ness (exact silence detection) and whether the
 //    transition flips any announced output (the CRN convergence clock);
 //  * a per-state "active responder" adjacency index (which t make (s, t)
-//    non-null), in CSR layout, for silence checks and successor enumeration
-//    that skip null pairs wholesale;
+//    non-null) and its transpose (which s make (s, t) non-null), in CSR
+//    layout, for silence checks, successor enumeration and the dense
+//    engine's incremental active-pair counts, all skipping null pairs
+//    wholesale;
 //  * a per-state output-symbol array replacing virtual output() lookups.
 //
 // Two table kinds, chosen by a memory budget at compile time:
@@ -63,23 +65,15 @@ struct CompileOptions {
   /// cache degrades to per-call computation, never to wrong answers.
   std::uint64_t sparse_slots = 1ull << 20;
 
-  /// Build the per-state active-responder adjacency index (dense kind only;
-  /// the sparse kind cannot know a state's partners without enumerating all
-  /// of them).
+  /// Build the per-state active-responder adjacency index and its transpose
+  /// (dense kind only; the sparse kind cannot know a state's partners
+  /// without enumerating all of them).
   bool build_adjacency = true;
 
   /// Precompute the per-state output array when num_states <= this bound
   /// (4 bytes per state); larger protocols keep virtual output() calls,
   /// which sit on no steady-state path.
   std::uint64_t max_output_states = 1ull << 24;
-
-  /// Count sparse-cache hits (one increment per probe that lands on a
-  /// materialized entry, into the calling thread's own cache-line-padded
-  /// slot, so concurrent trials never contend on one counter). Off by
-  /// default: the hit path is THE hot path of large-state-space runs, so the
-  /// counter is opt-in telemetry — the BatchRunner enables it for specs with
-  /// a metrics registry attached.
-  bool count_sparse_hits = false;
 
   /// Preset for one-shot compiles (a kernel built for a single run, e.g.
   /// pp::Engine::run(const Protocol&)): a smaller dense budget so per-trial
@@ -109,8 +103,9 @@ struct CompileStats {
   /// cache full (served by direct computation).
   std::uint64_t sparse_filled = 0;
   std::uint64_t sparse_overflow = 0;
-  /// Sparse only, and only when CompileOptions::count_sparse_hits: lookups
-  /// served from a materialized entry (summed over the per-thread slots).
+  /// Sparse only: lookups served from a materialized entry, as tallied by
+  /// the callers that pass a hit counter (the agent engine) and flushed
+  /// with add_sparse_hits().
   std::uint64_t sparse_hits = 0;
 
   /// "dense 531441 entries, 4.6 MiB, built in 3.2 ms".
@@ -147,22 +142,32 @@ class CompiledProtocol {
     return protocol_->output(state);
   }
 
-  /// The transition function, virtual-dispatch-free in steady state.
-  pp::Transition transition(pp::StateId a, pp::StateId b) const {
+  /// The transition function, virtual-dispatch-free in steady state. A
+  /// non-null `hits` counts a sparse-cache hit into the caller's run-local
+  /// tally (flushed once per run with add_sparse_hits), so counting never
+  /// touches memory shared between threads.
+  pp::Transition transition(pp::StateId a, pp::StateId b,
+                            std::uint64_t* hits = nullptr) const {
     if (kind_ == TableKind::kDense) {
       return table_[static_cast<std::size_t>(a) * num_states_ + b];
     }
-    return sparse_lookup(a, b).transition;
+    return sparse_lookup(a, b, hits).transition;
   }
 
   /// True iff transition(a, b) changes a state. One flag load (dense) or
   /// one probe (sparse); the exact-silence primitive of every engine.
-  bool nonnull(pp::StateId a, pp::StateId b) const {
+  bool nonnull(pp::StateId a, pp::StateId b,
+               std::uint64_t* hits = nullptr) const {
     if (kind_ == TableKind::kDense) {
       return (flags_[static_cast<std::size_t>(a) * num_states_ + b] &
               kNonNull) != 0;
     }
-    return (sparse_lookup(a, b).flags & kNonNull) != 0;
+    return (sparse_lookup(a, b, hits).flags & kNonNull) != 0;
+  }
+
+  /// Adds a caller's run-local sparse-hit tally to stats().sparse_hits.
+  void add_sparse_hits(std::uint64_t hits) const {
+    if (hits != 0) sparse_hits_.fetch_add(hits, std::memory_order_relaxed);
   }
 
   /// True iff transition(a, b) changes some announced output symbol (the
@@ -172,7 +177,7 @@ class CompiledProtocol {
       return (flags_[static_cast<std::size_t>(a) * num_states_ + b] &
               kOutputDelta) != 0;
     }
-    return (sparse_lookup(a, b).flags & kOutputDelta) != 0;
+    return (sparse_lookup(a, b, nullptr).flags & kOutputDelta) != 0;
   }
 
   /// True when the per-state adjacency index was built (dense kind with
@@ -187,12 +192,21 @@ class CompiledProtocol {
     return {adjacency_partners_.data() + begin, end - begin};
   }
 
+  /// Initiators s with transition(s, t) non-null, ascending (the reverse
+  /// index). Requires has_adjacency().
+  std::span<const pp::StateId> active_initiators(pp::StateId t) const {
+    const std::size_t begin = reverse_offsets_[t];
+    const std::size_t end = reverse_offsets_[static_cast<std::size_t>(t) + 1];
+    return {reverse_partners_.data() + begin, end - begin};
+  }
+
   /// Exact silence test for a configuration given as its present states
   /// with a count accessor: no ordered pair (requiring count >= 2 on the
-  /// diagonal) is non-null. Counts is any callable StateId -> uint64.
+  /// diagonal) is non-null. Counts is any callable StateId -> uint64;
+  /// `hits` as for transition().
   template <typename Counts>
-  bool config_silent(std::span<const pp::StateId> present,
-                     Counts&& counts) const {
+  bool config_silent(std::span<const pp::StateId> present, Counts&& counts,
+                     std::uint64_t* hits = nullptr) const {
     if (has_adjacency()) {
       for (const pp::StateId s : present) {
         if (counts(s) == 0) continue;
@@ -209,7 +223,7 @@ class CompiledProtocol {
       for (const pp::StateId t : present) {
         const std::uint64_t c = counts(t);
         if (c == 0 || (s == t && c < 2)) continue;
-        if (nonnull(s, t)) return false;
+        if (nonnull(s, t, hits)) return false;
       }
     }
     return true;
@@ -229,21 +243,8 @@ class CompiledProtocol {
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
   static constexpr std::uint64_t kBusyKey = ~std::uint64_t{0} - 1;
 
-  /// Sparse-hit counter shards, one cache line each. A thread leases one of
-  /// the first kHitSlots for its lifetime (released when it exits) and, as
-  /// its only writer, counts there without a locked add; a thread that
-  /// finds every slot leased counts into the shared last slot with
-  /// fetch_add. Either way the sum stays exact.
-  static constexpr std::size_t kHitSlots = 64;
-  struct alignas(64) HitSlot {
-    std::atomic<std::uint64_t> hits{0};
-  };
-  /// This thread's slot index, leased on first use.
-  static std::size_t hit_slot();
-  static std::size_t lease_hit_slot();
-  void count_hit() const;
-
-  SparseEntry sparse_lookup(pp::StateId a, pp::StateId b) const;
+  SparseEntry sparse_lookup(pp::StateId a, pp::StateId b,
+                            std::uint64_t* hits) const;
   SparseEntry compute_entry(pp::StateId a, pp::StateId b) const;
 
   const pp::Protocol* protocol_;
@@ -262,6 +263,8 @@ class CompiledProtocol {
   std::vector<std::uint8_t> flags_;
   std::vector<std::size_t> adjacency_offsets_;  // CSR: num_states + 1
   std::vector<pp::StateId> adjacency_partners_;
+  std::vector<std::size_t> reverse_offsets_;  // the transposed CSR
+  std::vector<pp::StateId> reverse_partners_;
 
   // Sparse kind: open-addressing cache with linear probing. values_/vflags_
   // for a slot are written exclusively by the thread that claimed the slot's
@@ -275,31 +278,11 @@ class CompiledProtocol {
   std::unique_ptr<std::uint8_t[]> vflags_;
   mutable std::atomic<std::uint64_t> sparse_filled_{0};
   mutable std::atomic<std::uint64_t> sparse_overflow_{0};
-  // kHitSlots + 1 slots (the last is the shared one); null unless
-  // CompileOptions::count_sparse_hits.
-  std::unique_ptr<HitSlot[]> hit_slots_;
+  mutable std::atomic<std::uint64_t> sparse_hits_{0};
 };
 
-inline std::size_t CompiledProtocol::hit_slot() {
-  constexpr std::size_t kUnleased = ~std::size_t{0};
-  thread_local std::size_t slot = kUnleased;
-  if (slot == kUnleased) slot = lease_hit_slot();
-  return slot;
-}
-
-inline void CompiledProtocol::count_hit() const {
-  const std::size_t slot = hit_slot();
-  std::atomic<std::uint64_t>& hits = hit_slots_[slot].hits;
-  if (slot < kHitSlots) {
-    hits.store(hits.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-  } else {
-    hits.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 inline CompiledProtocol::SparseEntry CompiledProtocol::sparse_lookup(
-    pp::StateId a, pp::StateId b) const {
+    pp::StateId a, pp::StateId b, std::uint64_t* hits) const {
   const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
   // splitmix64 finalizer: full-avalanche, so linear probing stays short.
   std::uint64_t h = key;
@@ -312,7 +295,7 @@ inline CompiledProtocol::SparseEntry CompiledProtocol::sparse_lookup(
   for (int probe = 0; probe < kMaxProbes; ++probe) {
     std::uint64_t slot = keys_[idx].load(std::memory_order_acquire);
     if (slot == key) {
-      if (hit_slots_ != nullptr) count_hit();
+      if (hits != nullptr) *hits += 1;
       const std::uint64_t packed = values_[idx];
       return {{static_cast<pp::StateId>(packed >> 32),
                static_cast<pp::StateId>(packed)},

@@ -89,11 +89,9 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
 
     if (!options.stop_when_silent) continue;
 
-    if (period > 0) {
-      // Deterministic certificate: a change-free full period means every
-      // ordered agent pair was tried and none changed.
-      if (change_free_streak >= period) result.silent = true;
-    } else if (change_free_streak >= next_silence_check) {
+    // The exact check runs under every scheduler: a globally silent
+    // configuration is silent under any schedule, periodic ones included.
+    if (change_free_streak >= next_silence_check) {
       silence_checks += 1;
       if (model.silent(population)) {
         result.silent = true;
@@ -101,6 +99,11 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
         next_silence_check *= 2;
       }
     }
+    // Periodic schedulers keep their deterministic certificate as the
+    // fallback for silence the exact check cannot see (a graph scheduler's
+    // edge-silent but not globally silent configurations): a change-free
+    // full period means every schedulable pair was tried and none changed.
+    if (period > 0 && change_free_streak >= period) result.silent = true;
   }
 
   if (!result.silent && result.interactions >= options.max_interactions) {
@@ -124,13 +127,16 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
   return result;
 }
 
+/// Tallies sparse-cache hits in a run-local counter (the kernel's hot path
+/// never writes shared memory); Engine::run flushes it once per run.
 struct KernelModel {
   const kernel::CompiledProtocol& kernel;
+  std::uint64_t* sparse_hits;
   Transition transition(StateId a, StateId b) const {
-    return kernel.transition(a, b);
+    return kernel.transition(a, b, sparse_hits);
   }
   bool silent(const Population& population) const {
-    return is_silent(population, kernel);
+    return is_silent(population, kernel, sparse_hits);
   }
 };
 
@@ -149,8 +155,12 @@ struct VirtualModel {
 RunResult Engine::run(const kernel::CompiledProtocol& kernel,
                       Population& population, Scheduler& scheduler,
                       std::span<Monitor* const> monitors) {
-  return run_loop(options_, kernel.protocol(), KernelModel{kernel}, population,
-                  scheduler, monitors);
+  std::uint64_t sparse_hits = 0;
+  RunResult result =
+      run_loop(options_, kernel.protocol(), KernelModel{kernel, &sparse_hits},
+               population, scheduler, monitors);
+  kernel.add_sparse_hits(sparse_hits);
+  return result;
 }
 
 RunResult Engine::run(const Protocol& protocol, Population& population,

@@ -1,12 +1,15 @@
 // The simulation engine: drives protocol x population x scheduler.
 //
 // Termination policy:
+//  * Under every scheduler, after change-free streaks the engine runs the
+//    exact O(d^2) silence check of silence.hpp, with exponential backoff so
+//    nearly-stable phases are not dominated by checking. Global silence
+//    holds under any schedule, so periodic runs stop there too, a few
+//    backoff streaks after their last change.
 //  * For periodic schedulers (fairness_period() > 0) a change-free full
-//    period is itself an exact silence proof: every ordered agent pair was
-//    scheduled and none changed, hence no pair can change.
-//  * Otherwise, after change-free streaks the engine runs the exact O(d^2)
-//    silence check of silence.hpp, with exponential backoff so nearly-stable
-//    phases are not dominated by checking.
+//    period is the fallback certificate: every schedulable agent pair was
+//    tried and none changed, hence none can. It is what stops a graph
+//    scheduler's edge-silent but not globally silent configurations.
 //  * A hard interaction budget bounds runs of protocols that never silence.
 #pragma once
 
@@ -40,8 +43,8 @@ struct EngineOptions {
   /// Stop as soon as silence is certified (otherwise run to the budget).
   bool stop_when_silent = true;
 
-  /// First change-free streak length that triggers an exact silence check
-  /// for non-periodic schedulers; doubles after every failed check.
+  /// First change-free streak length that triggers an exact silence check;
+  /// doubles after every failed check.
   std::uint64_t initial_silence_streak = 64;
 
   /// Optional telemetry sink; every engine consuming EngineOptions (agent,

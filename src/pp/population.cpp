@@ -9,7 +9,7 @@ namespace circles::pp {
 
 Population::Population(const Protocol& protocol,
                        std::span<const ColorId> colors)
-    : counts_(protocol.num_states(), 0) {
+    : counts_(protocol.num_states(), 0), position_(protocol.num_states(), 0) {
   agents_.reserve(colors.size());
   for (const ColorId color : colors) {
     CIRCLES_CHECK_MSG(color < protocol.num_colors(),
@@ -17,18 +17,18 @@ Population::Population(const Protocol& protocol,
     const StateId s = protocol.input(color);
     CIRCLES_CHECK(s < counts_.size());
     agents_.push_back(s);
-    if (counts_[s]++ == 0) present_.insert(s);
+    if (counts_[s]++ == 0) add_present(s);
   }
 }
 
 Population::Population(std::uint64_t num_states,
                        std::span<const StateId> states)
-    : counts_(num_states, 0) {
+    : counts_(num_states, 0), position_(num_states, 0) {
   agents_.reserve(states.size());
   for (const StateId s : states) {
     CIRCLES_CHECK(s < counts_.size());
     agents_.push_back(s);
-    if (counts_[s]++ == 0) present_.insert(s);
+    if (counts_[s]++ == 0) add_present(s);
   }
 }
 
@@ -38,8 +38,20 @@ void Population::set_state(AgentId agent, StateId next) {
   const StateId prev = agents_[agent];
   if (prev == next) return;
   agents_[agent] = next;
-  if (--counts_[prev] == 0) present_.erase(prev);
-  if (counts_[next]++ == 0) present_.insert(next);
+  if (--counts_[prev] == 0) remove_present(prev);
+  if (counts_[next]++ == 0) add_present(next);
+}
+
+void Population::add_present(StateId s) {
+  position_[s] = static_cast<std::uint32_t>(present_.size());
+  present_.push_back(s);
+}
+
+void Population::remove_present(StateId s) {
+  const StateId last = present_.back();
+  present_[position_[s]] = last;
+  position_[last] = position_[s];
+  present_.pop_back();
 }
 
 std::vector<StateId> Population::present_states() const {

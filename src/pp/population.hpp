@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "pp/protocol.hpp"
@@ -38,6 +37,10 @@ class Population {
   /// Number of distinct states currently present.
   std::size_t distinct_states() const { return present_.size(); }
 
+  /// The distinct states currently present, in no particular order (a view
+  /// of the maintained list; invalidated by set_state).
+  std::span<const StateId> present() const { return present_; }
+
   /// Sorted list of the distinct states currently present.
   std::vector<StateId> present_states() const;
 
@@ -51,9 +54,15 @@ class Population {
   std::string to_string(const Protocol& protocol) const;
 
  private:
+  void add_present(StateId s);
+  void remove_present(StateId s);
+
   std::vector<StateId> agents_;
   std::vector<std::uint64_t> counts_;
-  std::unordered_set<StateId> present_;
+  // Present states, swap-removed when their count drops to zero; position_
+  // maps a present state to its index in present_.
+  std::vector<StateId> present_;
+  std::vector<std::uint32_t> position_;
 };
 
 }  // namespace circles::pp

@@ -5,7 +5,7 @@
 namespace circles::pp {
 
 bool is_silent(const Population& population, const Protocol& protocol) {
-  const auto present = population.present_states();
+  const auto present = population.present();
   for (const StateId s : present) {
     for (const StateId t : present) {
       if (s == t && population.count(s) < 2) continue;
@@ -17,10 +17,11 @@ bool is_silent(const Population& population, const Protocol& protocol) {
 }
 
 bool is_silent(const Population& population,
-               const kernel::CompiledProtocol& kernel) {
-  const auto present = population.present_states();
+               const kernel::CompiledProtocol& kernel,
+               std::uint64_t* sparse_hits) {
   return kernel.config_silent(
-      present, [&](StateId s) { return population.count(s); });
+      population.present(), [&](StateId s) { return population.count(s); },
+      sparse_hits);
 }
 
 }  // namespace circles::pp

@@ -7,6 +7,8 @@
 // run can produce, and all correctness experiments insist on it.
 #pragma once
 
+#include <cstdint>
+
 #include "pp/population.hpp"
 #include "pp/protocol.hpp"
 
@@ -19,8 +21,11 @@ namespace circles::pp {
 bool is_silent(const Population& population, const Protocol& protocol);
 
 /// Kernel variant: per-pair null-ness is a flag load (plus the adjacency
-/// index when available), not a virtual transition() call.
+/// index when available), not a virtual transition() call. A non-null
+/// `sparse_hits` tallies sparse-cache hits as kernel::CompiledProtocol::
+/// transition does.
 bool is_silent(const Population& population,
-               const kernel::CompiledProtocol& kernel);
+               const kernel::CompiledProtocol& kernel,
+               std::uint64_t* sparse_hits = nullptr);
 
 }  // namespace circles::pp

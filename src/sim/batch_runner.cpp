@@ -294,12 +294,7 @@ PreparedSpec prepare(const RunSpec& spec, const ProtocolRegistry& registry,
     // spec's own timeline so build time is visibly separate from trials.
     const trace::ScopedSpan compile_span(trace::buffer(engine.tracer),
                                          "kernel.compile");
-    kernel::CompileOptions compile_options;
-    // Sparse-cache hit counting costs one relaxed fetch_add per lookup on
-    // THE hot path of sparse kernels; only pay it when someone is looking.
-    compile_options.count_sparse_hits = engine.metrics != nullptr;
-    prepared.kernel = std::make_shared<const kernel::CompiledProtocol>(
-        protocol, compile_options);
+    prepared.kernel = std::make_shared<const kernel::CompiledProtocol>(protocol);
   }
   if (prepared.backend == EngineKind::kFluid) {
     fluid::FluidOptions fluid_options;

@@ -212,9 +212,11 @@ TEST(DenseEngineTest, VirtualDispatchPathMatchesCompiledKernel) {
 /// vector, per (workload, seed, mode). The per-step rows were captured from
 /// the original single-urn engine and have never moved. The batched rows
 /// were re-captured when the pairing stage switched to drawing only the
-/// non-null contingency cells (sample_active_cells): the same law, another
-/// stream. The {6, 5} batched row is fast-forwarded throughout, so it never
-/// reaches the pairing stage and kept its original value.
+/// non-null contingency cells (sample_active_cells), and again when the
+/// epoch-vs-jump choice became a price (kJumpCostDraws against the previous
+/// epoch's draws) instead of a flat 3 expected changes: the same law,
+/// another stream. The {6, 5} batched row is fast-forwarded throughout
+/// under either choice, so it kept its original value.
 TEST(DenseGoldenTest, SingleUrnStreamsMatchThePreRefactorEngine) {
   struct Golden {
     std::uint32_t k;
@@ -229,19 +231,19 @@ TEST(DenseGoldenTest, SingleUrnStreamsMatchThePreRefactorEngine) {
   const std::vector<Golden> goldens{
       {3, {40, 30, 20}, 123ull, false, 4226ull, 203ull, 4225ull,
        0xe9f6ad22c0cb1cffull},
-      {3, {40, 30, 20}, 123ull, true, 1495ull, 195ull, 1494ull,
+      {3, {40, 30, 20}, 123ull, true, 1889ull, 183ull, 1888ull,
        0xe9f6ad22c0cb1cffull},
       {3, {400, 350, 250}, 777ull, false, 73594ull, 3203ull, 73593ull,
        0x69d34e9a4a4821b9ull},
-      {3, {400, 350, 250}, 777ull, true, 66349ull, 2927ull, 66348ull,
+      {3, {400, 350, 250}, 777ull, true, 82522ull, 3097ull, 82521ull,
        0x69d34e9a4a4821b9ull},
       {2, {6, 5}, 9ull, false, 135ull, 18ull, 134ull,
        0x580ddf4a9b4b380aull},
       {2, {6, 5}, 9ull, true, 156ull, 22ull, 155ull, 0x580ddf4a9b4b380aull},
       {4, {2000, 1500, 900, 600}, 20260728ull, false, 338900ull, 12617ull,
        338899ull, 0x542d5bf6e303879bull},
-      {4, {2000, 1500, 900, 600}, 20260728ull, true, 378481ull, 12261ull,
-       378480ull, 0x542d5bf6e303879bull},
+      {4, {2000, 1500, 900, 600}, 20260728ull, true, 289685ull, 12457ull,
+       289684ull, 0x542d5bf6e303879bull},
   };
   for (const Golden& g : goldens) {
     const auto protocol =
@@ -376,6 +378,80 @@ TEST(UrnEngineTest, DeterministicPerSeedAndAcrossKernelPaths) {
     EXPECT_EQ(a, c);
     EXPECT_EQ(ra.interactions, rc.interactions);
     EXPECT_EQ(ra.state_changes, rc.state_changes);
+  }
+}
+
+TEST(UrnEngineTest, ClusteredPerStepStreamIsPinned) {
+  // A 3-urn per-step run on a pinned stream: interactions, state_changes,
+  // last_change_step and an FNV-1a hash of every urn's final counts, as
+  // captured from the engine that recomputed every block's active-pair
+  // count after each change. Per-step runs have no epoch-vs-jump choice, so
+  // this row pins the incremental multi-urn update bit for bit.
+  const auto protocol = sim::ProtocolRegistry::global().create("circles",
+                                                               {.k = 3});
+  const auto lumping = urn_harness::dumbbell({120, 100, 80}, 0.05);
+  pp::EngineOptions options;
+  options.max_interactions = 1'000'000;  // a broken update fails fast
+  DenseEngine engine(*protocol, options, DenseMode::kPerStep, true, lumping);
+  util::Rng rng(17);
+  UrnConfig config = UrnConfig::from_workload(
+      *protocol, workload_of({130, 100, 70}), lumping.sizes, rng);
+  const pp::RunResult result = engine.run(config, 2026);
+  EXPECT_TRUE(result.silent);
+  EXPECT_EQ(result.interactions, 27142u);
+  EXPECT_EQ(result.state_changes, 799u);
+  EXPECT_EQ(result.last_change_step, 27141u);
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const auto& urn : config.urns) {
+    for (const auto x : urn) hash = (hash ^ x) * 1099511628211ull;
+  }
+  EXPECT_EQ(hash, 0x0c7380315d81f507ull);
+}
+
+/// Two states: (0, 0) -> (1, 1), everything else null. Unlike circles, a
+/// same-state pair changes, so the diagonal blocks' own-agent correction
+/// and its (d^2 - d) term in the incremental active-pair update matter.
+class PairingProtocol final : public pp::Protocol {
+ public:
+  std::uint64_t num_states() const override { return 2; }
+  std::uint32_t num_colors() const override { return 2; }
+  pp::StateId input(pp::ColorId color) const override { return color; }
+  pp::OutputSymbol output(pp::StateId state) const override { return state; }
+  pp::Transition transition(pp::StateId a, pp::StateId b) const override {
+    if (a == 0 && b == 0) return {1, 1};
+    return {a, b};
+  }
+  std::string name() const override { return "pairing"; }
+};
+
+TEST(UrnEngineTest, SameStatePairsReachExactSilence) {
+  // 51 agents in state 0 pair off until one is left: exactly 25 changes,
+  // then silence, in every mode, urn layout and kernel path.
+  const PairingProtocol protocol;
+  const auto lumping = urn_harness::dumbbell({30, 21}, 0.1);
+  pp::EngineOptions options;
+  options.max_interactions = 1'000'000;  // a broken update fails fast
+  for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
+    for (const bool use_kernel : {true, false}) {
+      const DenseEngine single(protocol, options, mode, use_kernel);
+      DenseConfig config = DenseConfig::from_workload(protocol,
+                                                      workload_of({51, 0}));
+      const pp::RunResult r1 = single.run(config, 13);
+      EXPECT_TRUE(r1.silent);
+      EXPECT_EQ(r1.state_changes, 25u);
+      EXPECT_EQ(r1.interactions, r1.last_change_step + 1);
+      EXPECT_EQ(config.counts, (CountVector{1, 50}));
+
+      const DenseEngine urns(protocol, options, mode, use_kernel, lumping);
+      util::Rng rng(4);
+      UrnConfig split = UrnConfig::from_workload(
+          protocol, workload_of({51, 0}), lumping.sizes, rng);
+      const pp::RunResult r2 = urns.run(split, 13);
+      EXPECT_TRUE(r2.silent);
+      EXPECT_EQ(r2.state_changes, 25u);
+      EXPECT_EQ(r2.interactions, r2.last_change_step + 1);
+      EXPECT_EQ(split.aggregate().counts, (CountVector{1, 50}));
+    }
   }
 }
 
@@ -1018,7 +1094,10 @@ TEST(DenseEquivalenceTest, BatchedEpochsMatchPerStepAtN2000) {
   std::vector<double> batch_interactions, batch_changes;
   run_mode(DenseMode::kPerStep, 1, step_interactions, step_changes);
   run_mode(DenseMode::kBatched, 1000001, batch_interactions, batch_changes);
+  // The priced epoch-vs-jump choice must mix both paths here, or this
+  // test would compare only one of them with the per-step reference.
   EXPECT_GT(registry.counter("dense.epochs").value(), 0u);
+  EXPECT_GT(registry.counter("dense.fast_forward_jumps").value(), 0u);
   EXPECT_GT(registry.counter("dense.pair_draws").value(), 0u);
 
   // Critical value at alpha = 0.001 for two samples of 400:

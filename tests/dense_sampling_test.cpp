@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -27,6 +28,31 @@ TEST(LogFactorialTest, StirlingAgreesWithLgamma) {
         std::uint64_t{100000000}}) {
     const double expected = std::lgamma(static_cast<double>(x) + 1.0);
     EXPECT_NEAR(log_factorial(x) / expected, 1.0, 1e-12) << "x=" << x;
+  }
+}
+
+TEST(LogFactorialTest, TableMeetsTheSeriesAtBothEnds) {
+  // The table runs to 16383 and the series takes over at 16384; where both
+  // are valid (from 2048 on) they agree to the series' own accuracy, and
+  // the hand-over is seamless.
+  for (const std::uint64_t x : {std::uint64_t{2047}, std::uint64_t{2048},
+                                std::uint64_t{16383}, std::uint64_t{16384}}) {
+    EXPECT_NEAR(log_factorial(x) / log_factorial_series(x), 1.0, 1e-14)
+        << "x=" << x;
+  }
+  EXPECT_NEAR((log_factorial(16383) + std::log(16384.0)) /
+                  log_factorial(16384),
+              1.0, 1e-14);
+}
+
+TEST(LogFactorialTest, TableMatchesLgammaSpotValues) {
+  for (const std::uint64_t x :
+       {std::uint64_t{1}, std::uint64_t{10}, std::uint64_t{170},
+        std::uint64_t{1000}, std::uint64_t{4096}, std::uint64_t{10000},
+        std::uint64_t{16383}}) {
+    const double expected = std::lgamma(static_cast<double>(x) + 1.0);
+    EXPECT_NEAR(log_factorial(x), expected, 1e-14 * std::max(expected, 1.0))
+        << "x=" << x;
   }
 }
 

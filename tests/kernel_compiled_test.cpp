@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "pp/engine.hpp"
 #include "pp/silence.hpp"
 #include "sim/sim.hpp"
 #include "util/rng.hpp"
@@ -208,14 +209,13 @@ TEST(CompiledProtocolTest, SparseCacheIsThreadSafe) {
 
 TEST(CompiledProtocolTest, ShardedSparseHitCountStaysExactAcrossThreads) {
   // Threads hammer lookups of pairs that are all materialized up front, so
-  // every lookup is a hit: the per-thread slots must sum to exactly the
-  // number of lookups made. 4 threads each lease a slot of their own; 80
-  // live at once run out of slots, and the rest share the fallback slot.
+  // every lookup is a hit: each thread tallies its hits locally (as a run
+  // does) and flushes once, and the flushed shards must sum to exactly the
+  // number of lookups made. Lookups without a tally are not counted.
   const auto protocol =
       sim::ProtocolRegistry::global().create("circles", {.k = 8});
   kernel::CompileOptions options;
   options.max_dense_entries = 0;
-  options.count_sparse_hits = true;
   const kernel::CompiledProtocol compiled(*protocol, options);
   const std::uint64_t ns = protocol->num_states();
   std::vector<std::pair<pp::StateId, pp::StateId>> pairs;
@@ -236,10 +236,13 @@ TEST(CompiledProtocolTest, ShardedSparseHitCountStaysExactAcrossThreads) {
       threads.emplace_back([&, worker]() {
         ready.fetch_add(1);
         while (ready.load() < num_threads) std::this_thread::yield();
+        std::uint64_t hits = 0;
         for (int i = 0; i < lookups; ++i) {
           const auto& [a, b] = pairs[(i * 7 + worker) % pairs.size()];
-          (void)compiled.nonnull(a, b);
+          (void)compiled.nonnull(a, b, &hits);
+          (void)compiled.transition(b, a);  // untallied
         }
+        compiled.add_sparse_hits(hits);
       });
     }
     for (auto& thread : threads) thread.join();
@@ -247,6 +250,30 @@ TEST(CompiledProtocolTest, ShardedSparseHitCountStaysExactAcrossThreads) {
               static_cast<std::uint64_t>(num_threads) * lookups)
         << num_threads << " threads";
   }
+}
+
+TEST(CompiledProtocolTest, AgentEngineFlushesItsSparseHitsOncePerRun) {
+  // The agent engine tallies its sparse-cache hits (transitions and
+  // silence checks) in a run-local counter and adds it to the kernel's
+  // stats when the run ends: every interaction's lookup is a hit or a
+  // materialization, so hits + filled covers the interactions.
+  const auto protocol =
+      sim::ProtocolRegistry::global().create("circles", {.k = 8});
+  kernel::CompileOptions options;
+  options.max_dense_entries = 0;
+  const kernel::CompiledProtocol compiled(*protocol, options);
+  ASSERT_EQ(compiled.kind(), kernel::TableKind::kSparse);
+  std::vector<pp::ColorId> colors;
+  for (pp::ColorId c = 0; c < 8; ++c) colors.insert(colors.end(), 4, c);
+  pp::Population population(*protocol, colors);
+  auto scheduler = pp::make_scheduler(pp::SchedulerKind::kUniformRandom,
+                                      population.size(), 5);
+  const pp::RunResult result =
+      pp::Engine().run(compiled, population, *scheduler);
+  ASSERT_TRUE(result.silent);
+  const kernel::CompileStats stats = compiled.stats();
+  EXPECT_GT(stats.sparse_hits, 0u);
+  EXPECT_GE(stats.sparse_hits + stats.sparse_filled, result.interactions);
 }
 
 TEST(CompiledProtocolTest, ConfigSilentAgreesWithIsSilent) {

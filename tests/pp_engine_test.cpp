@@ -5,8 +5,12 @@
 #include <array>
 #include <vector>
 
+#include "analysis/workload.hpp"
+#include "core/circles_protocol.hpp"
+#include "pp/schedulers/round_robin.hpp"
 #include "pp/silence.hpp"
 #include "pp/trace.hpp"
+#include "util/rng.hpp"
 
 namespace circles::pp {
 namespace {
@@ -98,6 +102,27 @@ TEST(EngineTest, EpidemicReachesSilenceUnderAllSchedulers) {
     EXPECT_EQ(result.state_changes, 15u) << to_string(kind);
     EXPECT_TRUE(result.consensus_on(1)) << to_string(kind);
   }
+}
+
+TEST(EngineTest, PeriodicSchedulerStopsAtExactSilenceBeforeThePeriod) {
+  // Round robin is periodic, but the exact backoff check still runs: the
+  // run stops at global silence, well before a change-free full period.
+  // The schedule is deterministic, so state_changes and last_change_step
+  // are the values of the engine that waited out the whole period.
+  core::CirclesProtocol protocol(3);
+  util::Rng rng(64);
+  const analysis::Workload w = analysis::random_unique_winner(rng, 64, 3);
+  const auto colors = w.agent_colors(rng);
+  Population population(protocol, colors);
+  RoundRobinScheduler sched(64);
+  Engine engine;
+  const RunResult result = engine.run(protocol, population, sched);
+  EXPECT_TRUE(result.silent);
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_EQ(result.state_changes, 1297u);
+  EXPECT_EQ(result.last_change_step, 3527u);
+  EXPECT_LT(result.interactions,
+            result.last_change_step + 1 + sched.fairness_period());
 }
 
 TEST(EngineTest, InitiallySilentConfigurationStopsImmediately) {

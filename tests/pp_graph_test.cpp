@@ -152,6 +152,51 @@ TEST(GraphSchedulerTest, RingReachesEdgeSilence) {
   EXPECT_FALSE(result.budget_exhausted);
 }
 
+/// States 0..3: a 3 decays to 0 in any interaction, and only (0, 2) or
+/// (2, 0) changes otherwise (both become 1). On a ring where no 0 neighbours
+/// a 2 that leaves a configuration that is edge-silent but not globally
+/// silent.
+class DecayProtocol final : public Protocol {
+ public:
+  std::uint64_t num_states() const override { return 4; }
+  std::uint32_t num_colors() const override { return 4; }
+  StateId input(ColorId color) const override { return color; }
+  OutputSymbol output(StateId state) const override { return state; }
+  Transition transition(StateId a, StateId b) const override {
+    if (a == 3 || b == 3) return {a == 3 ? 0u : a, b == 3 ? 0u : b};
+    if ((a == 0 && b == 2) || (a == 2 && b == 0)) return {1, 1};
+    return {a, b};
+  }
+  std::string name() const override { return "decay"; }
+};
+
+TEST(GraphSchedulerTest, EdgeSilenceWithoutGlobalSilenceStopsOnThePeriod) {
+  // Ring of 40: agent 0 starts as 3 and decays to 0 in its first
+  // interaction, agent 2 holds a 2, every other agent a 1. Then no edge can
+  // change anything, yet the non-adjacent agents 0 and 2 could. The exact
+  // check (first run after 64 change-free steps) must keep failing, and the
+  // change-free period (2|E| = 80 > 64) is what stops the run.
+  DecayProtocol protocol;
+  std::vector<ColorId> colors(40, 1);
+  colors[0] = 3;
+  colors[2] = 2;
+  Population population(protocol, colors);
+  GraphScheduler sched(InteractionGraph::ring(40),
+                       GraphSchedulerMode::kRoundRobin, 0);
+  ASSERT_GT(sched.fairness_period(), 64u);
+  EngineOptions options;
+  options.max_interactions = 1'000'000;
+  Engine engine(options);
+  const RunResult result = engine.run(protocol, population, sched);
+  EXPECT_TRUE(result.silent);
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_EQ(result.state_changes, 1u);
+  EXPECT_GE(result.interactions,
+            result.last_change_step + 1 + sched.fairness_period());
+  EXPECT_EQ(population.count(0), 1u);
+  EXPECT_EQ(population.count(2), 1u);
+}
+
 TEST(GraphSchedulerTest, NamesIncludeTopologyAndMode) {
   GraphScheduler rr(InteractionGraph::ring(4), GraphSchedulerMode::kRoundRobin,
                     0);
