@@ -432,11 +432,13 @@ int main(int argc, char** argv) {
       .set("ops_per_sec", pooled_rate)
       .set("speedup_vs_single", speedup);
 
-  // Virtual dispatch vs compiled kernel, per backend: the same pinned-seed
-  // specs run to silence twice, once on the legacy virtual transition()
-  // loops (kernel=off) and once through the spec's shared
-  // kernel::CompiledProtocol. Results are bitwise identical; the wall-clock
-  // ratio is the kernel's end-to-end gain.
+  // Virtual dispatch vs compiled kernel, at the kernel layer: the same
+  // pinned-seed agent runs go to silence twice through pp::Engine, once on
+  // run_virtual (a virtual transition() call per interaction) and once on
+  // run() over a kernel compiled once per case, its build time included.
+  // Results are bitwise identical; the wall-clock ratio is the kernel's
+  // gain. Every engine runs through a kernel, so this is the one place the
+  // virtual loop still runs.
   double best_kernel_speedup = 0.0;
   double worst_kernel_speedup = 1e300;
   bool kernel_identical = true;
@@ -444,85 +446,92 @@ int main(int argc, char** argv) {
     struct KernelCase {
       std::string protocol;
       std::uint32_t k;
-      sim::EngineKind backend;
       std::uint64_t n;
       std::uint32_t trials;
     };
-    // Sized so the one-time per-spec compile amortizes the way it does in
-    // real sweeps (many trials share one kernel).
+    // Sized so the one-time compile amortizes the way it does in real
+    // sweeps (many trials share one kernel).
     const std::vector<KernelCase> kernel_cases{
-        {"pairwise_plurality", 4, sim::EngineKind::kAgentArray, 1'024, 8},
-        {"circles", 3, sim::EngineKind::kAgentArray, 2'000, 8},
-        {"circles", 3, sim::EngineKind::kDense, 3'000, 3},
-        {"circles", 3, sim::EngineKind::kDenseBatched, 10'000, 3},
+        {"pairwise_plurality", 4, 1'024, 8},
+        {"circles", 3, 2'000, 8},
     };
-    util::Table table({"protocol", "backend", "n", "trials", "kernel",
-                       "virtual s", "compiled s", "speedup"});
+    util::Table table({"protocol", "n", "trials", "kernel", "virtual s",
+                       "compiled s", "speedup"});
     for (const auto& c : kernel_cases) {
-      sim::RunSpec spec;
-      spec.protocol = c.protocol;
-      spec.params.k = c.k;
-      spec.n = c.n;
-      spec.trials = c.trials;
-      spec.seed = sim::mix_seed(seed, 0xC0DE + c.n);
-      spec.backend = c.backend;
-      spec.engine.max_interactions = ~std::uint64_t{0};
-      auto options = batch;
-      // Keep trials so the on/off passes can be compared record by record.
-      options.keep_trials = true;
+      const auto protocol =
+          sim::ProtocolRegistry::global().create(c.protocol, {.k = c.k});
+      const std::uint64_t case_seed = sim::mix_seed(seed, 0xC0DE + c.n);
+      pp::EngineOptions options;
+      options.max_interactions = ~std::uint64_t{0};
+      // One pass over the case's trials; `compiled` null = run_virtual.
+      const auto pass = [&](const kernel::CompiledProtocol* compiled) {
+        std::vector<pp::RunResult> runs;
+        for (std::uint32_t t = 0; t < c.trials; ++t) {
+          util::Rng rng(sim::trial_seed(case_seed, t));
+          const auto colors =
+              sim::WorkloadSpec::unique_winner()
+                  .materialize(rng, c.n, c.k)
+                  .agent_colors(rng);
+          pp::Population population(*protocol, colors);
+          const auto scheduler = pp::make_scheduler(
+              pp::SchedulerKind::kUniformRandom,
+              static_cast<std::uint32_t>(colors.size()), rng.split()(),
+              protocol.get());
+          pp::Engine engine(options);
+          runs.push_back(
+              compiled != nullptr
+                  ? engine.run(*compiled, population, *scheduler)
+                  : engine.run_virtual(*protocol, population, *scheduler));
+        }
+        return runs;
+      };
 
-      spec.use_kernel = false;
       const auto t_off = Clock::now();
-      const auto off = sim::BatchRunner(options).run_one(spec);
+      const std::vector<pp::RunResult> off = pass(nullptr);
       const double off_seconds = seconds_since(t_off);
 
-      spec.use_kernel = true;
       const auto t_on = Clock::now();
-      const auto on = sim::BatchRunner(options).run_one(spec);
+      const kernel::CompiledProtocol compiled(*protocol);
+      const std::vector<pp::RunResult> on = pass(&compiled);
       const double on_seconds = seconds_since(t_on);
 
-      kernel_identical =
-          kernel_identical && off.trials.size() == on.trials.size();
-      for (std::size_t t = 0;
-           kernel_identical && t < on.trials.size(); ++t) {
+      double on_interactions = 0.0;
+      for (std::size_t t = 0; t < on.size(); ++t) {
         kernel_identical =
-            off.trials[t].seed == on.trials[t].seed &&
-            off.trials[t].outcome.run.interactions ==
-                on.trials[t].outcome.run.interactions &&
-            off.trials[t].outcome.run.state_changes ==
-                on.trials[t].outcome.run.state_changes &&
-            off.trials[t].outcome.run.final_outputs ==
-                on.trials[t].outcome.run.final_outputs;
+            kernel_identical && off[t].interactions == on[t].interactions &&
+            off[t].state_changes == on[t].state_changes &&
+            off[t].last_change_step == on[t].last_change_step &&
+            off[t].silent == on[t].silent &&
+            off[t].final_outputs == on[t].final_outputs;
+        on_interactions += static_cast<double>(on[t].interactions);
       }
       const double speedup = on_seconds > 0 ? off_seconds / on_seconds : 0.0;
       best_kernel_speedup = std::max(best_kernel_speedup, speedup);
       worst_kernel_speedup = std::min(worst_kernel_speedup, speedup);
-      const double on_interactions = on.interactions.mean * on.trial_count;
+      const std::string kind = kernel::to_string(compiled.stats().kind);
       report.add_cell()
           .set("section", "kernel")
           .set("protocol", c.protocol)
           .set("k", static_cast<std::uint64_t>(c.k))
-          .set("backend", sim::to_string(c.backend))
+          .set("backend", "agent")
           .set("n", c.n)
           .set("trials", static_cast<std::uint64_t>(c.trials))
-          .set("kernel", kernel::to_string(on.kernel_stats.kind))
+          .set("kernel", kind)
           .set("interactions", on_interactions)
           .set("wall_ms", on_seconds * 1000.0)
           .set("ops_per_sec",
                on_seconds > 0 ? on_interactions / on_seconds : 0.0)
           .set("virtual_wall_ms", off_seconds * 1000.0)
           .set("speedup_vs_virtual", speedup);
-      table.add_row({c.protocol, sim::to_string(c.backend),
-                     util::Table::num(c.n),
-                     util::Table::num(std::uint64_t{c.trials}),
-                     kernel::to_string(on.kernel_stats.kind),
+      table.add_row({c.protocol, util::Table::num(c.n),
+                     util::Table::num(std::uint64_t{c.trials}), kind,
                      util::Table::num(off_seconds, 2),
                      util::Table::num(on_seconds, 2),
                      util::Table::num(speedup, 1)});
     }
     table.print(
-        "virtual dispatch vs compiled kernel, run to silence (bitwise "
-        "identical results: " +
+        "virtual dispatch vs compiled kernel, pp::Engine to silence "
+        "(bitwise identical results: " +
         std::string(kernel_identical ? "yes" : "NO") + ")");
   }
 
@@ -1004,9 +1013,9 @@ int main(int argc, char** argv) {
   const bool parallel_ok =
       parallel_identical &&
       (smoke || hw_cores < 8 || parallel_speedup8 >= 4.0);
-  // The compiled kernel must pay for itself: a >= 2x end-to-end win on at
-  // least one (protocol, backend) pair and no real regression anywhere
-  // (0.7 allows wall-clock noise on near-parity cells).
+  // The compiled kernel must pay for itself: a >= 2x win on at least one
+  // protocol and no real regression anywhere (0.7 allows wall-clock noise
+  // on near-parity cells).
   const bool kernel_ok =
       kernel_identical &&
       (smoke || (best_kernel_speedup >= 2.0 && worst_kernel_speedup >= 0.7));

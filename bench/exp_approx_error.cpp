@@ -10,16 +10,18 @@
 // n -> infinity limit of the count chain, so its trajectory should track the
 // dense_batched median within O(1/sqrt(n)). For a grid of n the section runs
 // the same circles instance on both backends with an opinion-counts trace,
-// interpolates the fluid curve onto the dense envelope grid, and reports the
-// worst per-agent gap; the verdict line asserts the gap shrinks with n and
-// lands under a fixed bound at the largest n (EXPERIMENTS.md quotes it, CI
-// greps it).
+// compares the fluid curve with the dense per-trial median at the points of
+// the dense envelope grid, and reports the worst per-agent gap; the verdict
+// line asserts the gap shrinks with n and lands under a fixed bound at the
+// largest n (EXPERIMENTS.md quotes it, CI greps it).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "exp_common.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -47,20 +49,40 @@ double interp(const TraceTable& table, std::size_t x_col, std::size_t v_col,
 }
 
 /// Worst absolute per-agent gap between the fluid trajectory and the dense
-/// median envelope over every opinion column and every dense grid point.
-double worst_opinion_gap(const TraceTable& fluid, const TraceTable& dense,
+/// per-trial median, over every opinion column and every point of the dense
+/// envelope grid. Both sides are read off the per-trial traces at their
+/// actual sample positions, interpolated linearly between samples (a
+/// finished run holds its final counts). The envelopes themselves will not
+/// do: they carry each sample forward to the next grid point, and the two
+/// backends' samples and grids fall differently, so comparing envelopes
+/// charges up to one log-grid interval of trajectory slope to the gap — a
+/// floor near 0.009 per agent at every n that hides the O(1/sqrt(n)) model
+/// error this section measures.
+double worst_opinion_gap(const circles::sim::SpecResult& fluid,
+                         const circles::sim::SpecResult& dense,
                          std::uint64_t n, std::uint32_t k) {
-  const std::size_t fluid_x = fluid.column_index("interactions");
-  const std::size_t dense_x = dense.column_index("interactions");
+  const TraceTable& grid = dense.trace_envelopes.at(0);
+  const std::size_t grid_x = grid.column_index("interactions");
+  const TraceTable& fluid_trace = fluid.trials.at(0).traces.at(0);
+  const std::size_t fluid_x = fluid_trace.column_index("interactions");
+  const TraceTable& dense_header = dense.trials.at(0).traces.at(0);
+  const std::size_t dense_x = dense_header.column_index("interactions");
   double worst = 0.0;
+  std::vector<double> values;
   for (std::uint32_t s = 0; s < k; ++s) {
-    const std::string column = "out_" + std::to_string(s) + "_p50";
-    const std::size_t fluid_v = fluid.column_index(column);
-    const std::size_t dense_v = dense.column_index(column);
-    for (std::size_t row = 0; row < dense.num_rows(); ++row) {
-      const double x = dense.at(row, dense_x);
+    const std::string column = "out_" + std::to_string(s);
+    const std::size_t fluid_v = fluid_trace.column_index(column);
+    const std::size_t dense_v = dense_header.column_index(column);
+    for (std::size_t row = 0; row < grid.num_rows(); ++row) {
+      const double x = grid.at(row, grid_x);
+      values.clear();
+      for (const circles::sim::TrialRecord& rec : dense.trials) {
+        values.push_back(interp(rec.traces.at(0), dense_x, dense_v, x));
+      }
+      std::sort(values.begin(), values.end());
+      const double median = circles::util::quantile_sorted(values, 0.5);
       const double gap =
-          std::abs(interp(fluid, fluid_x, fluid_v, x) - dense.at(row, dense_v));
+          std::abs(interp(fluid_trace, fluid_x, fluid_v, x) - median);
       worst = std::max(worst, gap / static_cast<double>(n));
     }
   }
@@ -180,9 +202,7 @@ int main(int argc, char** argv) {
     fluid_all_correct = fluid_all_correct &&
                         dense.correct == dense.trial_count &&
                         fluid.correct == fluid.trial_count;
-    const double gap = worst_opinion_gap(fluid.trace_envelopes.at(0),
-                                         dense.trace_envelopes.at(0),
-                                         fluid_ns[i], 3);
+    const double gap = worst_opinion_gap(fluid, dense, fluid_ns[i], 3);
     gaps.push_back(gap);
     const double time_gap =
         std::abs(fluid.interactions.mean - dense.interactions.mean) /
@@ -194,9 +214,8 @@ int main(int argc, char** argv) {
          util::Table::num(fluid.interactions.mean, 0)});
   }
   fluid_table.print(
-      "fluid-vs-dense_batched trajectory gap vs n (expected: both gaps "
-      "shrink with n — the O(1/sqrt(n)) finite-size error — until the "
-      "trajectory gap floors at the trace-grid resolution)");
+      "fluid-vs-dense_batched trajectory gap vs n (expected: the opinion "
+      "gap shrinks with n — the O(1/sqrt(n)) finite-size error)");
 
   // The bound EXPERIMENTS.md and CI quote: at the largest n of the grid the
   // worst per-agent opinion gap stays under 2% of the population, and the

@@ -39,7 +39,6 @@ inline int verdict(bool pass, const std::string& summary) {
 inline void print_kernel_stats(std::span<const sim::SpecResult> results) {
   std::set<std::string> seen;
   for (const sim::SpecResult& result : results) {
-    if (!result.kernel_compiled) continue;
     char head[64];
     std::snprintf(head, sizeof head, "%s k=%u", result.spec.protocol.c_str(),
                   result.spec.params.k);

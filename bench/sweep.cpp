@@ -28,9 +28,11 @@ int main(int argc, char** argv) try {
   auto sweep = sim::specs_from_flags(cli);
   const bool tie_aware = cli.bool_flag(
       "tie_aware", false, "grade ties against the TIE symbol (= k)");
-  const bool kernel = cli.bool_flag(
-      "kernel", true,
-      "compile protocol kernels (off = legacy virtual-dispatch loops)");
+  if (!cli.string_flag("kernel", "", "removed: kernels are always compiled")
+           .empty()) {
+    throw std::invalid_argument(
+        "--kernel was removed (kernels are always compiled); drop the flag");
+  }
   const std::string trace_flag = cli.string_flag(
       "trace", "",
       "comma-separated count-trajectory probes per cell (counts, states, "
@@ -149,9 +151,6 @@ int main(int argc, char** argv) try {
   if (tie_aware) {
     for (auto& spec : sweep.specs) spec.grading = sim::Grading::kTieAware;
   }
-  if (!kernel) {
-    for (auto& spec : sweep.specs) spec.use_kernel = false;
-  }
   for (auto& spec : sweep.specs) spec.probes = probes;
 
   if (!metrics_out.empty()) {
@@ -192,8 +191,6 @@ int main(int argc, char** argv) try {
   bool all_correct = true;
   for (const sim::SpecResult& r : results) {
     all_correct = all_correct && r.all_correct();
-    const std::string kernel_cell =
-        r.kernel_compiled ? kernel::to_string(r.kernel_stats.kind) : "off";
     // auto cells show what the runner actually picked.
     const std::string backend_cell =
         r.spec.backend == sim::EngineKind::kAuto
@@ -210,7 +207,7 @@ int main(int argc, char** argv) try {
                    util::Table::percent(r.silent_rate(), 0),
                    util::Table::num(r.interactions.mean, 0),
                    util::Table::num(r.interactions.p90, 0),
-                   kernel_cell});
+                   kernel::to_string(r.kernel_stats.kind)});
   }
   table.print("sweep results");
   // One-time compile cost per distinct kernel, so table-build time is

@@ -57,33 +57,19 @@ struct LastChangeMark {
 
 DenseEngine::DenseEngine(const pp::Protocol& protocol,
                          pp::EngineOptions options, DenseMode mode,
-                         bool use_kernel, pp::UrnLumping lumping)
-    : protocol_(&protocol),
-      options_(options),
-      mode_(mode),
-      num_states_(protocol.num_states()),
-      lumping_(std::move(lumping)) {
-  CIRCLES_CHECK_MSG(num_states_ >= 1, "protocol needs at least one state");
-  if (!lumping_.sizes.empty()) lumping_.validate();
-  if (use_kernel) {
-    owned_kernel_ = std::make_shared<const kernel::CompiledProtocol>(protocol);
-    kernel_ = owned_kernel_.get();
-  }
-  run_threads_ = options_.run_threads != 0
-                     ? options_.run_threads
-                     : util::ThreadPool::shared().helpers() + 1;
-}
+                         pp::UrnLumping lumping)
+    : DenseEngine(std::make_shared<const kernel::CompiledProtocol>(protocol),
+                  options, mode, std::move(lumping)) {}
 
 DenseEngine::DenseEngine(std::shared_ptr<const kernel::CompiledProtocol> kernel,
                          pp::EngineOptions options, DenseMode mode,
                          pp::UrnLumping lumping)
-    : protocol_(&kernel->protocol()),
-      owned_kernel_(std::move(kernel)),
-      kernel_(owned_kernel_.get()),
+    : kernel_(std::move(kernel)),
       options_(options),
       mode_(mode),
       num_states_(kernel_->num_states()),
       lumping_(std::move(lumping)) {
+  CIRCLES_CHECK_MSG(num_states_ >= 1, "protocol needs at least one state");
   if (!lumping_.sizes.empty()) lumping_.validate();
   run_threads_ = options_.run_threads != 0
                      ? options_.run_threads
@@ -428,8 +414,7 @@ struct DenseEngine::Sim {
 
   /// Setup: compacts the urns and computes every active-pair count.
   void init_active() {
-    const kernel::CompiledProtocol* k = engine.kernel_;
-    if (k != nullptr && k->has_adjacency()) adjacency = k;
+    if (engine.kernel_->has_adjacency()) adjacency = engine.kernel_.get();
     for (Urn& urn : urns) compact(urn);
     if (adjacency == nullptr) {
       is_tracked.assign(engine.num_states_, 0);
@@ -709,11 +694,11 @@ struct DenseEngine::Sim {
 
   std::vector<std::uint64_t> output_histogram() const {
     std::vector<std::uint64_t> histogram(
-        engine.protocol_->num_output_symbols(), 0);
+        engine.protocol().num_output_symbols(), 0);
     for (const Urn& urn : urns) {
       for (std::size_t s = 0; s < urn.counts.size(); ++s) {
         if (urn.counts[s] > 0) {
-          histogram[engine.protocol_->output(static_cast<pp::StateId>(s))] +=
+          histogram[engine.protocol().output(static_cast<pp::StateId>(s))] +=
               urn.counts[s];
         }
       }
@@ -805,8 +790,8 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
 
   if (recorder != nullptr) {
     obs::ProbeContext ctx;
-    ctx.protocol = protocol_;
-    ctx.kernel = kernel_;
+    ctx.protocol = &protocol();
+    ctx.kernel = kernel_.get();
     ctx.n = sim.n;
     if (sim.num_urns > 1) ctx.urn_sizes = sim.urn_sizes;
     recorder->begin(ctx, sim.rec_counts(), sim.live_active, sim.rec_present(),

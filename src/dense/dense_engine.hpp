@@ -116,19 +116,18 @@ class DenseEngine {
  public:
   /// Compiles a kernel::CompiledProtocol for `protocol` (dense transition
   /// table when the state space fits the kernel's budget, lazily-hashed
-  /// pair cache otherwise) and samples through it. `use_kernel = false`
-  /// keeps the legacy virtual-dispatch path, solely as the baseline the
-  /// bench_throughput virtual-vs-compiled section measures; results are
-  /// bitwise identical either way. EngineOptions is shared with pp::Engine:
-  /// max_interactions and stop_when_silent apply; initial_silence_streak is
-  /// meaningless here (silence is exact) and ignored. `lumping` fixes the
-  /// urn structure: empty (default) means a single urn sized by whatever
-  /// configuration run() receives (the uniform scheduler); a validated
-  /// multi-urn lumping makes run(UrnConfig&) simulate that block structure.
+  /// pair cache otherwise) and delegates to the kernel constructor below;
+  /// `protocol` must outlive the engine. EngineOptions is shared with
+  /// pp::Engine: max_interactions and stop_when_silent apply;
+  /// initial_silence_streak is meaningless here (silence is exact) and
+  /// ignored. `lumping` fixes the urn structure: empty (default) means a
+  /// single urn sized by whatever configuration run() receives (the uniform
+  /// scheduler); a validated multi-urn lumping makes run(UrnConfig&)
+  /// simulate that block structure.
   explicit DenseEngine(const pp::Protocol& protocol,
                        pp::EngineOptions options = {},
                        DenseMode mode = DenseMode::kPerStep,
-                       bool use_kernel = true, pp::UrnLumping lumping = {});
+                       pp::UrnLumping lumping = {});
 
   /// Shares a prebuilt immutable kernel (the BatchRunner compiles one per
   /// spec and hands it to every trial on every thread).
@@ -157,9 +156,8 @@ class DenseEngine {
   pp::RunResult run(UrnConfig& config, std::uint64_t seed,
                     obs::Recorder* recorder = nullptr) const;
 
-  const pp::Protocol& protocol() const { return *protocol_; }
-  /// Null iff constructed with use_kernel = false.
-  const kernel::CompiledProtocol* compiled() const { return kernel_; }
+  const pp::Protocol& protocol() const { return kernel_->protocol(); }
+  const kernel::CompiledProtocol& compiled() const { return *kernel_; }
   DenseMode mode() const { return mode_; }
   const pp::EngineOptions& options() const { return options_; }
   /// Empty sizes = single urn of whatever n the configuration carries.
@@ -181,18 +179,13 @@ class DenseEngine {
                    obs::Recorder* recorder) const;
 
   pp::Transition transition(pp::StateId a, pp::StateId b) const {
-    if (kernel_ != nullptr) return kernel_->transition(a, b);
-    return protocol_->transition(a, b);
+    return kernel_->transition(a, b);
   }
   bool nonnull(pp::StateId a, pp::StateId b) const {
-    if (kernel_ != nullptr) return kernel_->nonnull(a, b);
-    const pp::Transition tr = protocol_->transition(a, b);
-    return tr.initiator != a || tr.responder != b;
+    return kernel_->nonnull(a, b);
   }
 
-  const pp::Protocol* protocol_;
-  std::shared_ptr<const kernel::CompiledProtocol> owned_kernel_;
-  const kernel::CompiledProtocol* kernel_ = nullptr;  // null: virtual path
+  std::shared_ptr<const kernel::CompiledProtocol> kernel_;  // never null
   pp::EngineOptions options_;
   DenseMode mode_;
   std::uint64_t num_states_;

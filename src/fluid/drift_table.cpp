@@ -9,12 +9,9 @@
 
 namespace circles::fluid {
 
-DriftTable::DriftTable(const pp::Protocol& protocol,
-                       const kernel::CompiledProtocol* kernel,
+DriftTable::DriftTable(const kernel::CompiledProtocol& kernel,
                        std::uint64_t max_pair_lookups) {
-  CIRCLES_CHECK_MSG(kernel == nullptr || &kernel->protocol() == &protocol,
-                    "drift table kernel does not match the protocol");
-  const std::uint64_t num_states = protocol.num_states();
+  const std::uint64_t num_states = kernel.num_states();
   index_.assign(static_cast<std::size_t>(num_states), -1);
 
   const auto add_state = [&](pp::StateId s) {
@@ -22,19 +19,15 @@ DriftTable::DriftTable(const pp::Protocol& protocol,
     index_[s] = static_cast<std::int32_t>(species_.size());
     species_.push_back(s);
   };
-  for (pp::ColorId c = 0; c < protocol.num_colors(); ++c) {
-    add_state(protocol.input(c));
+  for (pp::ColorId c = 0; c < kernel.num_colors(); ++c) {
+    add_state(kernel.input(c));
   }
 
-  const auto transition = [&](pp::StateId a, pp::StateId b) {
-    return kernel != nullptr ? kernel->transition(a, b)
-                             : protocol.transition(a, b);
-  };
   const auto budget = [&]() {
     if (++pair_lookups_ <= max_pair_lookups) return;
     throw std::invalid_argument(
         "fluid drift table: the input-state closure of protocol '" +
-        protocol.name() + "' exceeds the pair-enumeration budget (" +
+        kernel.protocol().name() + "' exceeds the pair-enumeration budget (" +
         std::to_string(max_pair_lookups) +
         " transition lookups); the state space is too wide for the "
         "mean-field backend — use a dense backend instead");
@@ -44,7 +37,7 @@ DriftTable::DriftTable(const pp::Protocol& protocol,
   // pairs with at least one state discovered since the previous round.
   // States appended mid-round have index >= round_size and are picked up by
   // the next round, so every in-closure pair is visited exactly once.
-  const bool adjacency = kernel != nullptr && kernel->has_adjacency();
+  const bool adjacency = kernel.has_adjacency();
   std::size_t done = 0;  // pairs over species_[0..done) are processed
   while (done < species_.size()) {
     const std::size_t old_done = done;
@@ -55,12 +48,12 @@ DriftTable::DriftTable(const pp::Protocol& protocol,
       if (adjacency) {
         // CSR adjacency: only non-null responders of `a` are visited; keep
         // the ones already inside this round's closure snapshot.
-        for (const pp::StateId b : kernel->active_responders(a)) {
+        for (const pp::StateId b : kernel.active_responders(a)) {
           const std::int32_t j = b < num_states ? index_[b] : -1;
           if (j < 0 || static_cast<std::size_t>(j) >= round_size) continue;
           if (i < old_done && static_cast<std::size_t>(j) < old_done) continue;
           budget();
-          const pp::Transition out = transition(a, b);
+          const pp::Transition out = kernel.transition(a, b);
           add_state(out.initiator);
           add_state(out.responder);
           terms_.push_back({static_cast<std::uint32_t>(i),
@@ -74,7 +67,7 @@ DriftTable::DriftTable(const pp::Protocol& protocol,
       for (std::size_t j = j_begin; j < round_size; ++j) {
         budget();
         const pp::StateId b = species_[j];
-        const pp::Transition out = transition(a, b);
+        const pp::Transition out = kernel.transition(a, b);
         if (out.initiator == a && out.responder == b) continue;  // null
         add_state(out.initiator);
         add_state(out.responder);
@@ -89,8 +82,8 @@ DriftTable::DriftTable(const pp::Protocol& protocol,
   // Canonicalize: species ascending by StateId, terms sorted by (a, b). The
   // drift evaluation sums terms in list order, so this fixes the
   // floating-point summation order — trajectories are bitwise identical
-  // whichever build path (dense table, CSR adjacency, virtual calls)
-  // discovered the closure.
+  // whichever enumeration (CSR adjacency, every closure pair) discovered
+  // the closure.
   std::vector<std::uint32_t> remap(species_.size());
   std::vector<pp::StateId> sorted = species_;
   std::sort(sorted.begin(), sorted.end());

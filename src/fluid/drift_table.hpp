@@ -3,27 +3,25 @@
 // The mean-field ODE of a population protocol needs, for every ordered state
 // pair (a, b) with a non-null transition (a, b) -> (a', b'), the reaction
 // "remove one a and one b, add one a' and one b'" with rate x_a * x_b. This
-// module extracts exactly that list from a protocol — via the compiled
-// kernel's dense table / CSR adjacency when one is supplied, via virtual
-// transition() calls otherwise — restricted to the closure of the input
-// states under transitions. Every reachable run of the protocol starts in
-// input states, so the closure is a complete species set, and it is usually
-// far smaller than num_states (the circles protocol has k^3 states but only
-// the input-reachable slice ever holds mass).
+// module extracts exactly that list from a compiled kernel — over its CSR
+// adjacency when it has one, by enumerating every closure pair otherwise
+// (sparse kernels, CompileOptions::build_adjacency off) — restricted to the
+// closure of the input states under transitions. Every reachable run of
+// the protocol starts in input states, so the closure is a complete species
+// set, and it is usually far smaller than num_states (the circles protocol
+// has k^3 states but only the input-reachable slice ever holds mass).
 //
 // States are remapped onto a compact [0, num_species) indexing so the ODE
 // state vector is dense regardless of how sparse the closure is inside the
 // StateId range. The species list and the term list are canonically sorted,
 // so the table — and every trajectory integrated over it — is identical
-// whether it was built from a dense kernel, a sparse kernel or the virtual
-// protocol.
+// whichever of the two enumerations built it.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "pp/protocol.hpp"
 #include "pp/types.hpp"
 
 namespace circles::kernel {
@@ -47,15 +45,12 @@ struct DriftTerm {
 
 class DriftTable {
  public:
-  /// Compiles the closure + term list. `kernel`, when non-null, must be
-  /// compiled from `protocol`; its table (and adjacency, dense kind) then
-  /// replaces virtual transition() calls during the build. Throws
-  /// std::invalid_argument when the closure needs more than
-  /// `max_pair_lookups` transition lookups (quadratic in the closure size —
-  /// the guard that keeps very wide protocols from silently allocating
-  /// gigabytes of terms).
-  DriftTable(const pp::Protocol& protocol,
-             const kernel::CompiledProtocol* kernel,
+  /// Compiles the closure + term list from the kernel's table (and its
+  /// adjacency, when built). Throws std::invalid_argument when the closure
+  /// needs more than `max_pair_lookups` transition lookups (quadratic in
+  /// the closure size without adjacency — the guard that keeps very wide
+  /// protocols from silently allocating gigabytes of terms).
+  DriftTable(const kernel::CompiledProtocol& kernel,
              std::uint64_t max_pair_lookups);
 
   /// Closure states, ascending by StateId; compact index i <-> species()[i].

@@ -11,9 +11,9 @@
 //
 // The engine integrates the ODE with an embedded Bogacki–Shampine 3(2)
 // Runge–Kutta pair under standard rtol/atol step control. Drift terms come
-// from a DriftTable compiled once at construction (kernel IR or virtual
-// calls), so any registry protocol runs with zero per-protocol code; the
-// multi-urn lumping of the clustered scheduler is the same block structure
+// from a DriftTable compiled once at construction from the kernel IR, so
+// any registry protocol runs with zero per-protocol code; the multi-urn
+// lumping of the clustered scheduler is the same block structure
 // the dense engine uses, one fraction vector per urn. The trajectory is a
 // pure function of (configuration, options): deterministic to the bit for a
 // fixed spec, independent of the seed.
@@ -46,14 +46,11 @@
 #include "dense/dense_config.hpp"
 #include "dense/urn_config.hpp"
 #include "fluid/drift_table.hpp"
+#include "kernel/compiled_protocol.hpp"
 #include "pp/engine.hpp"
 #include "pp/run_result.hpp"
 #include "pp/scheduler.hpp"
 #include "util/rng.hpp"
-
-namespace circles::kernel {
-class CompiledProtocol;
-}
 
 namespace circles::obs {
 class Recorder;
@@ -89,8 +86,9 @@ struct FluidOptions {
 
 class FluidEngine {
  public:
-  /// Compiles the drift table from virtual transition() calls. `protocol`
-  /// must outlive the engine. `lumping` empty = single uniform urn.
+  /// Compiles a kernel::CompiledProtocol for `protocol` and delegates to
+  /// the kernel constructor below. `protocol` must outlive the engine.
+  /// `lumping` empty = single uniform urn.
   explicit FluidEngine(const pp::Protocol& protocol,
                        pp::EngineOptions engine = {}, FluidOptions options = {},
                        pp::UrnLumping lumping = {});
@@ -104,8 +102,8 @@ class FluidEngine {
   FluidEngine(const FluidEngine&) = delete;
   FluidEngine& operator=(const FluidEngine&) = delete;
 
-  const pp::Protocol& protocol() const { return *protocol_; }
-  const kernel::CompiledProtocol* compiled() const { return kernel_.get(); }
+  const pp::Protocol& protocol() const { return kernel_->protocol(); }
+  const kernel::CompiledProtocol& compiled() const { return *kernel_; }
   const pp::EngineOptions& options() const { return engine_; }
   const FluidOptions& fluid_options() const { return options_; }
   const pp::UrnLumping& lumping() const { return lumping_; }
@@ -142,8 +140,7 @@ class FluidEngine {
 
   void init_blocks();
 
-  const pp::Protocol* protocol_;
-  std::shared_ptr<const kernel::CompiledProtocol> kernel_;
+  std::shared_ptr<const kernel::CompiledProtocol> kernel_;  // never null
   pp::EngineOptions engine_;
   FluidOptions options_;
   pp::UrnLumping lumping_;  // empty = single uniform urn

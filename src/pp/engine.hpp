@@ -87,9 +87,10 @@ class Engine {
   RunResult run(const kernel::CompiledProtocol& kernel, Population& population,
                 Scheduler& scheduler, std::span<Monitor* const> monitors = {});
 
-  /// The legacy loop paying one virtual transition() call per interaction.
-  /// Kept solely as the baseline the bench_throughput virtual-vs-compiled
-  /// section measures against; results are bitwise identical to run().
+  /// The loop paying one virtual transition() call per interaction: the
+  /// reference that the kernel tests and bench_throughput's kernel-layer
+  /// virtual-vs-compiled section compare run() against. No other code path
+  /// reaches it; results are bitwise identical to run().
   RunResult run_virtual(const Protocol& protocol, Population& population,
                         Scheduler& scheduler,
                         std::span<Monitor* const> monitors = {});

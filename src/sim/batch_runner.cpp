@@ -16,6 +16,7 @@
 #include "fluid/fluid_engine.hpp"
 #include "metrics/metrics.hpp"
 #include "obs/monitor_probe.hpp"
+#include "sim/backend_table.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 
@@ -106,28 +107,6 @@ trace::FailureContext failure_context(const RunSpec& spec, EngineKind backend,
   return ctx;
 }
 
-struct AutoDispatch {
-  EngineKind backend;
-  const char* reason;  // RunManifest::dispatch
-};
-
-/// The backend=auto ladder, agent -> dense_batched -> fluid. The agent array
-/// takes whatever the count engines cannot express or would not win on;
-/// every other spec runs on counts, batched until the fluid tier. The
-/// caller still demotes fluid to dense_batched when the drift compile
-/// refuses the protocol ("auto:fluid-compile-fallback").
-AutoDispatch auto_dispatch(std::uint64_t n, std::uint64_t num_states,
-                           bool agent_only_features, bool lumpable) {
-  if (agent_only_features) {
-    return {EngineKind::kAgentArray, "auto:agent-only-feature"};
-  }
-  if (!lumpable) return {EngineKind::kAgentArray, "auto:non-lumpable"};
-  if (num_states > n) return {EngineKind::kAgentArray, "auto:states>n"};
-  if (n < kAutoDenseMinN) return {EngineKind::kAgentArray, "auto:n<min"};
-  if (n >= kAutoFluidMinN) return {EngineKind::kFluid, "auto:fluid"};
-  return {EngineKind::kDenseBatched, "auto:lumpable"};
-}
-
 /// One spec, set up once and shared by all of its trials: the validated
 /// protocol, its kernel, the concrete backend and, on the count backends,
 /// the engine every trial runs on. BatchRunner::run and the standalone
@@ -135,7 +114,7 @@ AutoDispatch auto_dispatch(std::uint64_t n, std::uint64_t num_states,
 /// exactly the engine the batch ran.
 struct PreparedSpec {
   std::unique_ptr<pp::Protocol> protocol;
-  /// Compiled once per spec; null iff spec.use_kernel is off.
+  /// Compiled once per spec; never null.
   std::shared_ptr<const kernel::CompiledProtocol> kernel;
   EngineKind backend = EngineKind::kAgentArray;  // never kAuto
   const char* dispatch = "explicit";             // RunManifest::dispatch
@@ -189,13 +168,10 @@ PreparedSpec prepare(const RunSpec& spec, const ProtocolRegistry& registry,
       reject(std::string(": ") + e.what());
     }
   }
-  if (spec.chemical_time &&
-      (spec.circles_stats || spec.track_used_states ||
-       spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory)) {
-    reject(
-        " combines chemical_time with engine-only features "
-        "(circles_stats / track_used_states / reboot_faults / grader / "
-        "scheduler_factory)");
+  const unsigned features = spec_features(spec);
+  if (const std::string conflict = conflicting_features(features);
+      !conflict.empty()) {
+    reject(conflict);
   }
   if ((spec.clusters != 0 || !spec.cluster_sizes.empty()) &&
       spec.scheduler != pp::SchedulerKind::kClustered) {
@@ -203,78 +179,41 @@ PreparedSpec prepare(const RunSpec& spec, const ProtocolRegistry& registry,
            pp::to_string(spec.scheduler) +
            "'; the cluster shape belongs to scheduler=clustered");
   }
-  if ((spec.rtol != 0.0 || spec.atol != 0.0) &&
-      spec.backend != EngineKind::kFluid &&
-      spec.backend != EngineKind::kAuto) {
-    reject(
-        " sets rtol/atol, which are fluid-integrator tolerances, on "
-        "backend=" + sim::to_string(spec.backend) +
-        "; use backend=fluid (or backend=auto) or drop the tolerances");
-  }
   if (spec.rtol < 0.0 || spec.atol < 0.0) {
     reject(" sets a negative fluid-integrator tolerance (rtol=" +
            std::to_string(spec.rtol) + ", atol=" + std::to_string(spec.atol) +
            "); tolerances must be positive (0 = engine default)");
   }
 
-  // Resolve the concrete backend (auto ladder: see auto_dispatch).
-  const bool agent_only_features =
-      spec.circles_stats || spec.track_used_states ||
-      spec.reboot_faults > 0 || static_cast<bool>(spec.grader) ||
-      static_cast<bool>(spec.scheduler_factory) || spec.chemical_time;
-  std::optional<pp::UrnLumping> lumping;
-  if (spec.backend != EngineKind::kAgentArray && !agent_only_features) {
-    try {
-      lumping = scheduler_lumping(spec, &protocol);
-    } catch (const std::invalid_argument& e) {
-      reject(std::string(": ") + e.what());
+  // The scheduler's exact count-level lumping, probed at most once and only
+  // when a backend that needs one is considered.
+  std::optional<std::optional<pp::UrnLumping>> probed;
+  const auto lumping = [&]() -> const std::optional<pp::UrnLumping>& {
+    if (!probed.has_value()) {
+      try {
+        probed.emplace(scheduler_lumping(spec, &protocol));
+      } catch (const std::invalid_argument& e) {
+        reject(std::string(": ") + e.what());
+      }
     }
-  }
+    return *probed;
+  };
+
+  // Resolve or validate the backend, both from the capability table.
   prepared.backend = spec.backend;
   if (spec.backend == EngineKind::kAuto) {
     const AutoDispatch pick =
-        auto_dispatch(spec.effective_n(), protocol.num_states(),
-                      agent_only_features, lumping.has_value());
+        auto_dispatch(features, spec.effective_n(), protocol.num_states(),
+                      [&]() { return lumping().has_value(); });
     prepared.backend = pick.backend;
     prepared.dispatch = pick.reason;
-  }
-
-  if (prepared.backend != EngineKind::kAgentArray) {
-    // The dense backends have no agent array. Count-level probes
-    // (spec.probes) run on every backend; the checks below single out
-    // what genuinely cannot be expressed on counts, each with its own
-    // message so the fix is obvious.
-    if (spec.circles_stats || spec.track_used_states) {
-      reject(
-          " requests pp::Monitor-based instrumentation (circles_stats / "
-          "track_used_states), which needs the agent backend's "
-          "per-interaction events; dense backends observe runs through "
-          "count-level snapshots — attach an obs::Probe via "
-          "RunSpec::probes (trace=...) instead");
+  } else {
+    const BackendCapabilities& row = capabilities(spec.backend);
+    if (const std::string unsupported = unsupported_feature(row, features);
+        !unsupported.empty()) {
+      reject(unsupported);
     }
-    if (spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory) {
-      reject(
-          " addresses individual agents (reboot_faults / grader / "
-          "scheduler_factory), which the dense count representation "
-          "cannot express; use backend=agent, or backend=auto to pick a "
-          "backend per spec");
-    }
-    if (spec.chemical_time && prepared.backend == EngineKind::kFluid) {
-      reject(
-          " combines chemical_time with the fluid backend; the fluid "
-          "trajectory already advances the chemical clock (trace= "
-          "probes record the chemical_time column), but the Gillespie "
-          "stabilization/convergence statistics ride the agent engine's "
-          "event stream — use backend=agent for those");
-    }
-    if (spec.chemical_time) {
-      reject(
-          " combines chemical_time with a dense backend; the Gillespie "
-          "clock rides the agent engine's event stream — use "
-          "backend=agent (count probes still record chemical-time "
-          "cadence there)");
-    }
-    if (!lumping.has_value()) {
+    if (row.needs_lumping && !lumping().has_value()) {
       reject(" requests backend=" + sim::to_string(spec.backend) +
              " with scheduler '" + pp::to_string(spec.scheduler) +
              "', which has no exact count-level lumping "
@@ -289,7 +228,7 @@ PreparedSpec prepare(const RunSpec& spec, const ProtocolRegistry& registry,
   if (engine.metrics == nullptr) engine.metrics = metrics;
   if (engine.tracer == nullptr) engine.tracer = tracer;
   engine.run_threads = std::max(spec.run_threads, 1u);
-  if (spec.use_kernel) {
+  {
     // The compile runs once per spec on this thread; its span lands in the
     // spec's own timeline so build time is visibly separate from trials.
     const trace::ScopedSpan compile_span(trace::buffer(engine.tracer),
@@ -301,12 +240,8 @@ PreparedSpec prepare(const RunSpec& spec, const ProtocolRegistry& registry,
     if (spec.rtol > 0.0) fluid_options.rtol = spec.rtol;
     if (spec.atol > 0.0) fluid_options.atol = spec.atol;
     try {
-      prepared.fluid =
-          spec.use_kernel
-              ? std::make_unique<fluid::FluidEngine>(
-                    prepared.kernel, engine, fluid_options, *lumping)
-              : std::make_unique<fluid::FluidEngine>(
-                    protocol, engine, fluid_options, *lumping);
+      prepared.fluid = std::make_unique<fluid::FluidEngine>(
+          prepared.kernel, engine, fluid_options, *lumping());
     } catch (const std::invalid_argument& e) {
       // The drift-table compile refuses protocols whose input-state
       // closure is too wide for the mean-field representation.
@@ -323,13 +258,8 @@ PreparedSpec prepare(const RunSpec& spec, const ProtocolRegistry& registry,
     const dense::DenseMode mode = prepared.backend == EngineKind::kDenseBatched
                                       ? dense::DenseMode::kBatched
                                       : dense::DenseMode::kPerStep;
-    prepared.dense =
-        spec.use_kernel
-            ? std::make_unique<dense::DenseEngine>(prepared.kernel, engine,
-                                                   mode, *lumping)
-            : std::make_unique<dense::DenseEngine>(protocol, engine, mode,
-                                                   /*use_kernel=*/false,
-                                                   *lumping);
+    prepared.dense = std::make_unique<dense::DenseEngine>(
+        prepared.kernel, engine, mode, *lumping());
   }
   return prepared;
 }
@@ -362,7 +292,7 @@ TrialRecord run_prepared_trial(const PreparedSpec& prepared,
                                std::uint64_t trial_seed) {
   const pp::Protocol& protocol = *prepared.protocol;
   const pp::EngineOptions& engine_options = prepared.engine;
-  const kernel::CompiledProtocol* kernel = prepared.kernel.get();
+  const kernel::CompiledProtocol& kernel = *prepared.kernel;
   TrialRecord rec;
   rec.seed = trial_seed;
 
@@ -451,12 +381,8 @@ TrialRecord run_prepared_trial(const PreparedSpec& prepared,
   const std::uint64_t derived_seed = rng.split()();
 
   if (spec.chemical_time) {
-    const crn::GillespieResult result =
-        kernel != nullptr
-            ? crn::run_gillespie(*kernel, colors, derived_seed, engine_options,
-                                 trial_recorder)
-            : crn::run_gillespie_virtual(protocol, colors, derived_seed,
-                                         engine_options, trial_recorder);
+    const crn::GillespieResult result = crn::run_gillespie(
+        kernel, colors, derived_seed, engine_options, trial_recorder);
     rec.outcome = grade_run(result.run, rec.workload, expected);
     rec.stabilization_time = result.stabilization_time;
     rec.convergence_time = result.convergence_time;
@@ -498,7 +424,7 @@ TrialRecord run_prepared_trial(const PreparedSpec& prepared,
   // monitors (Probe::as_monitor) see the raw event stream next to it.
   std::optional<obs::RecorderMonitor> recorder_monitor;
   if (recorder.has_value()) {
-    recorder_monitor.emplace(*recorder, kernel);
+    recorder_monitor.emplace(*recorder, &kernel);
     monitors.push_back(&*recorder_monitor);
     for (obs::Probe* probe : recorder->probes()) {
       if (pp::Monitor* monitor = probe->as_monitor()) {
@@ -510,11 +436,8 @@ TrialRecord run_prepared_trial(const PreparedSpec& prepared,
                                                    monitors.size());
 
   const auto run_engine = [&](const pp::EngineOptions& engine_options) {
-    pp::Engine engine(engine_options);
-    if (kernel != nullptr) {
-      return engine.run(*kernel, population, *scheduler, monitor_span);
-    }
-    return engine.run_virtual(protocol, population, *scheduler, monitor_span);
+    return pp::Engine(engine_options)
+        .run(kernel, population, *scheduler, monitor_span);
   };
 
   // Transient-fault injection: run in bursts; after each burst reboot one
@@ -831,12 +754,10 @@ std::vector<SpecResult> BatchRunner::run(
   phase_begin("batch.aggregate");
   const auto aggregate_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (prepared[i].kernel != nullptr) {
-      results[i].kernel_compiled = true;
-      // Snapshot after all trials: a sparse kernel's materialization
-      // counters have settled by now.
-      results[i].kernel_stats = prepared[i].kernel->stats();
-    }
+    results[i].kernel_compiled = true;
+    // Snapshot after all trials: a sparse kernel's materialization
+    // counters have settled by now.
+    results[i].kernel_stats = prepared[i].kernel->stats();
   }
   for (SpecResult& result : results) aggregate(result, options_.keep_trials);
   const double aggregate_ms = elapsed_ms(aggregate_start);
@@ -875,9 +796,7 @@ std::vector<SpecResult> BatchRunner::run(
     result.manifest.spec = specs[i].to_string();
     result.manifest.backend = sim::to_string(result.backend_resolved);
     result.manifest.dispatch = prepared[i].dispatch;
-    if (result.kernel_compiled) {
-      result.manifest.kernel = kernel::to_string(result.kernel_stats.kind);
-    }
+    result.manifest.kernel = kernel::to_string(result.kernel_stats.kind);
     result.manifest.seed = prepared[i].seed;
     result.manifest.trials = specs[i].trials;
     result.manifest.threads = threads;
@@ -888,7 +807,7 @@ std::vector<SpecResult> BatchRunner::run(
         result.trial_ms.mean * static_cast<double>(result.trial_ms.count);
 
     metrics::MetricsRegistry* m = prepared[i].metrics;
-    if (m != nullptr && result.kernel_compiled) {
+    if (m != nullptr) {
       const kernel::CompileStats& stats = result.kernel_stats;
       m->timer("kernel.build").record_ms(stats.build_ms);
       m->counter("kernel.entries").add(stats.entries);

@@ -65,14 +65,14 @@ struct SpecResult {
   std::vector<TrialRecord> trials;  // cleared when keep_trials is off
 
   /// Backend that actually ran the trials: spec.backend, or the concrete
-  /// engine the runner picked when spec.backend is EngineKind::kAuto
-  /// (scheduler lumpability + n + state count decide — see EngineKind).
+  /// engine the runner picked from the capability table when spec.backend
+  /// is EngineKind::kAuto (see sim/backend_table.hpp).
   EngineKind backend_resolved = EngineKind::kAgentArray;
 
-  /// Kernel compile stats for this spec's protocol (valid iff
-  /// kernel_compiled, i.e. spec.use_kernel). The kernel is compiled exactly
-  /// once per spec and shared by every trial on every thread; build time is
-  /// reported here so it is never attributed to simulation wall clock.
+  /// Kernel compile stats for this spec's protocol. The kernel is compiled
+  /// exactly once per spec and shared by every trial on every thread; build
+  /// time is reported here so it is never attributed to simulation wall
+  /// clock. run() always compiles one, so kernel_compiled is always true.
   bool kernel_compiled = false;
   kernel::CompileStats kernel_stats;
 

@@ -236,7 +236,6 @@ std::string RunSpec::to_string() const {
   if (engine.max_interactions != pp::EngineOptions{}.max_interactions) {
     out += " budget=" + std::to_string(engine.max_interactions);
   }
-  if (!use_kernel) out += " kernel=off";
   for (const obs::ProbeSpec& probe : probes) {
     out += " trace=" + probe.to_string();
   }
@@ -364,12 +363,9 @@ RunSpec RunSpec::parse(const std::string& text) {
         }
         (key == "rtol" ? spec.rtol : spec.atol) = parsed;
       } else if (key == "kernel") {
-        if (value != "on" && value != "off") {
-          throw std::invalid_argument(
-              "RunSpec parse: kernel must be 'on' or 'off', got '" + value +
-              "'");
-        }
-        spec.use_kernel = value == "on";
+        throw std::invalid_argument(
+            "RunSpec parse: the kernel= token was removed (kernels are "
+            "always compiled); drop 'kernel=" + value + "' from the spec");
       } else if (key == "budget") {
         spec.engine.max_interactions = parse_unsigned(value);
         if (spec.engine.max_interactions == 0) {

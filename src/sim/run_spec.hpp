@@ -61,36 +61,31 @@ struct WorkloadSpec {
   static WorkloadSpec parse(const std::string& text);
 };
 
-/// Which simulation engine executes a trial.
+/// Which simulation engine executes a trial. What each concrete backend
+/// runs, and when auto picks it, is the capability table's
+/// (sim/backend_table.hpp).
 enum class EngineKind {
-  /// pp::Engine over an explicit agent array — supports every scheduler,
-  /// monitors, per-agent graders and fault injection.
+  /// pp::Engine over an explicit agent array.
   kAgentArray,
-  /// dense::DenseEngine, per-step mode: a lumpable scheduler (uniform or
-  /// clustered — see pp::Scheduler::lumping) simulated directly on per-state
-  /// counts, one count vector per urn; O(present states) per interaction,
-  /// O(num_urns * num_states) memory, exact silence detection. The reference
-  /// semantics of the cross-validation tests; auto never picks it, because
-  /// kDenseBatched samples the same chain faster at every measured n.
+  /// dense::DenseEngine, per-step mode: the lumped scheduler simulated
+  /// directly on per-state counts, one count vector per urn; O(present
+  /// states) per interaction, O(num_urns * num_states) memory, exact
+  /// silence detection. The reference semantics of the cross-validation
+  /// tests.
   kDense,
   /// dense::DenseEngine, batched mode: collision-free epochs of ~sqrt(n)
   /// interactions advanced with hypergeometric draws per urn-pair block,
-  /// plus geometric fast-forward through null-dominated phases — the
-  /// count-level workhorse from kAutoDenseMinN up to the fluid tier.
-  /// Lumpable schedulers only, like kDense.
+  /// plus geometric fast-forward through null-dominated phases.
   kDenseBatched,
   /// fluid::FluidEngine: the lumped count chain integrated as a mean-field
   /// ODE (adaptive embedded RK pair, rtol/atol via RunSpec::rtol/atol),
   /// drift terms compiled once from the kernel IR. O(1/sqrt(n)) model error,
-  /// cost independent of n — the n >= 1e9 tier. Lumpable schedulers only,
-  /// like the dense backends.
+  /// cost independent of n.
   kFluid,
-  /// Resolved per spec by the BatchRunner along the ladder agent ->
-  /// dense_batched -> fluid: agent for agent-only features, non-lumpable
-  /// schedulers, num_states > n or n < kAutoDenseMinN; fluid for lumpable
-  /// schedulers at n >= kAutoFluidMinN; dense_batched for every lumpable
-  /// spec in between. The pick lands in SpecResult::backend_resolved and
-  /// the reason in SpecResult::manifest.dispatch.
+  /// Resolved per spec by the BatchRunner: the highest auto-ladder row of
+  /// the capability table that accepts the spec. The pick lands in
+  /// SpecResult::backend_resolved and the reason in
+  /// SpecResult::manifest.dispatch.
   kAuto,
 };
 
@@ -140,13 +135,11 @@ struct RunSpec {
   /// scheduler; rendered as "bridge=0.001" when non-default.
   double bridge = 0.01;
 
-  /// Simulation backend. The dense backends simulate lumpable schedulers
-  /// (uniform, clustered — pp::Scheduler::lumping) on per-state counts with
-  /// no agent array, so they reject the agent-level features: non-lumpable
-  /// schedulers, scheduler_factory, circles_stats, track_used_states,
-  /// reboot_faults, grader and chemical_time — the BatchRunner refuses such
-  /// specs up front. kAuto resolves to a concrete backend per spec instead
-  /// of refusing.
+  /// Simulation backend. Which spec features and schedulers each concrete
+  /// backend runs is the capability table's (sim/backend_table.hpp); the
+  /// BatchRunner refuses a spec its backend cannot run up front, naming a
+  /// backend that can. kAuto resolves to a concrete backend per spec
+  /// instead of refusing.
   EngineKind backend = EngineKind::kAgentArray;
 
   /// Worker threads INSIDE each trial's run (dense backends only; feeds
@@ -159,18 +152,11 @@ struct RunSpec {
   std::uint32_t run_threads = 0;
 
   /// Fluid-backend integrator tolerances (backend=fluid or auto-resolved
-  /// fluid); 0 = the engine defaults (rtol 1e-6, atol 1e-9). Setting them on
-  /// a concrete non-fluid backend is an error the BatchRunner rejects up
-  /// front. Rendered as "rtol=1e-4" / "atol=1e-8" tokens when non-zero.
+  /// fluid); 0 = the engine defaults (rtol 1e-6, atol 1e-9). Which backends
+  /// accept them is the capability table's (sim/backend_table.hpp).
+  /// Rendered as "rtol=1e-4" / "atol=1e-8" tokens when non-zero.
   double rtol = 0.0;
   double atol = 0.0;
-
-  /// Compile the protocol into a kernel::CompiledProtocol once per spec and
-  /// share it across all trials and threads (compile stats land in the
-  /// SpecResult). Off = the legacy virtual-dispatch loops; results are
-  /// bitwise identical, only wall clock changes. Exists for the
-  /// bench_throughput virtual-vs-compiled comparison — leave on otherwise.
-  bool use_kernel = true;
 
   /// Custom correctness verdict (engine runs only): receives the final
   /// population and overrides the standard grading (e.g. per-agent checks).
@@ -214,9 +200,8 @@ struct RunSpec {
 
   /// Run under continuous-time (Gillespie) semantics instead of the engine
   /// loop; records chemical stabilization/convergence times. The embedded
-  /// jump chain is the uniform scheduler. Incompatible with the engine-only
-  /// features (circles_stats, track_used_states, reboot_faults, grader,
-  /// scheduler_factory) — the BatchRunner rejects such specs up front.
+  /// jump chain is the uniform scheduler. The backends and features it
+  /// combines with are the capability table's (sim/backend_table.hpp).
   bool chemical_time = false;
 
   /// Per-spec telemetry sink: when non-empty, the BatchRunner gives this

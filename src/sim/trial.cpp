@@ -76,8 +76,7 @@ TrialOutcome run_trial_keep_population(
   std::optional<obs::RecorderMonitor> recorder_monitor;
   std::vector<pp::Monitor*> all_monitors(monitors.begin(), monitors.end());
   if (options.recorder != nullptr) {
-    recorder_monitor.emplace(*options.recorder,
-                             options.use_kernel ? options.kernel : nullptr);
+    recorder_monitor.emplace(*options.recorder, options.kernel);
     all_monitors.push_back(&*recorder_monitor);
     for (obs::Probe* probe : options.recorder->probes()) {
       if (pp::Monitor* monitor = probe->as_monitor()) {
@@ -90,10 +89,7 @@ TrialOutcome run_trial_keep_population(
 
   pp::Engine engine(options.engine);
   TrialOutcome outcome;
-  if (!options.use_kernel) {
-    outcome.run =
-        engine.run_virtual(protocol, *population, *scheduler, monitors);
-  } else if (options.kernel != nullptr) {
+  if (options.kernel != nullptr) {
     CIRCLES_CHECK_MSG(&options.kernel->protocol() == &protocol,
                       "prebuilt kernel does not match the trial's protocol");
     outcome.run = engine.run(*options.kernel, *population, *scheduler, monitors);

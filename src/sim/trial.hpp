@@ -44,9 +44,6 @@ struct TrialOptions {
   /// Prebuilt kernel for the trial's protocol, shareable across trials and
   /// threads. Null: a one-shot kernel is compiled per trial.
   const kernel::CompiledProtocol* kernel = nullptr;
-  /// false = legacy virtual-dispatch interaction loop (the bench baseline);
-  /// bitwise-identical results, slower wall clock. Ignores `kernel`.
-  bool use_kernel = true;
   /// Count-level observation (obs::): when set, the trial attaches an
   /// obs::RecorderMonitor (plus any probe's as_monitor() escape hatch).
   /// Never perturbs the trial's RNG streams — results are bitwise identical

@@ -29,6 +29,16 @@ analysis::Workload workload_of(CountVector counts) {
   return w;
 }
 
+/// A kernel for `protocol`, with or without the adjacency index. Without
+/// it the engine finds active partners by walking the states seen so far
+/// (its `tracked` list) — the path every sparse kernel takes.
+std::shared_ptr<const kernel::CompiledProtocol> compile(
+    const pp::Protocol& protocol, bool adjacency) {
+  kernel::CompileOptions options;
+  options.build_adjacency = adjacency;
+  return std::make_shared<const kernel::CompiledProtocol>(protocol, options);
+}
+
 /// Exact silence on a count vector (the engine's active-pair criterion,
 /// recomputed independently).
 bool counts_silent(const pp::Protocol& protocol, const CountVector& counts) {
@@ -187,19 +197,18 @@ TEST(DenseEngineTest, DeterministicPerSeed) {
   }
 }
 
-TEST(DenseEngineTest, VirtualDispatchPathMatchesCompiledKernel) {
+TEST(DenseEngineTest, AdjacencyFreeKernelMatchesDefaultKernel) {
   const auto protocol = sim::ProtocolRegistry::global().create("circles",
                                                                {.k = 3});
-  DenseEngine compiled(*protocol, {}, DenseMode::kBatched);
-  DenseEngine virtual_path(*protocol, {}, DenseMode::kBatched,
-                           /*use_kernel=*/false);
-  EXPECT_NE(compiled.compiled(), nullptr);
-  EXPECT_EQ(virtual_path.compiled(), nullptr);
+  DenseEngine indexed(*protocol, {}, DenseMode::kBatched);
+  DenseEngine tracked(compile(*protocol, false), {}, DenseMode::kBatched);
+  EXPECT_TRUE(indexed.compiled().has_adjacency());
+  EXPECT_FALSE(tracked.compiled().has_adjacency());
   DenseConfig a =
       DenseConfig::from_workload(*protocol, workload_of({12, 9, 6}));
   DenseConfig b = a;
-  const pp::RunResult ra = compiled.run(a, 321);
-  const pp::RunResult rb = virtual_path.run(b, 321);
+  const pp::RunResult ra = indexed.run(a, 321);
+  const pp::RunResult rb = tracked.run(b, 321);
   EXPECT_EQ(a.counts, b.counts);
   EXPECT_EQ(ra.interactions, rb.interactions);
   EXPECT_EQ(ra.state_changes, rb.state_changes);
@@ -340,7 +349,7 @@ TEST(UrnEngineTest, ReachesSilenceExactlyAndConservesUrnSizes) {
                                                                {.k = 3});
   const auto lumping = urn_harness::dumbbell({60, 40}, 0.05);
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine engine(*protocol, {}, mode, /*use_kernel=*/true, lumping);
+    DenseEngine engine(*protocol, {}, mode, lumping);
     util::Rng rng(3);
     UrnConfig config = UrnConfig::from_workload(
         *protocol, workload_of({50, 30, 20}), lumping.sizes, rng);
@@ -360,21 +369,21 @@ TEST(UrnEngineTest, DeterministicPerSeedAndAcrossKernelPaths) {
                                                                {.k = 3});
   const auto lumping = urn_harness::dumbbell({30, 20, 10}, 0.1);
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine compiled(*protocol, {}, mode, /*use_kernel=*/true, lumping);
-    DenseEngine virtual_path(*protocol, {}, mode, /*use_kernel=*/false,
-                             lumping);
+    DenseEngine compiled(*protocol, {}, mode, lumping);
+    DenseEngine tracked(compile(*protocol, false), {}, mode, lumping);
     util::Rng rng(8);
     const UrnConfig initial = UrnConfig::from_workload(
         *protocol, workload_of({25, 20, 15}), lumping.sizes, rng);
     UrnConfig a = initial, b = initial, c = initial;
     const pp::RunResult ra = compiled.run(a, 41);
     const pp::RunResult rb = compiled.run(b, 41);
-    const pp::RunResult rc = virtual_path.run(c, 41);
+    const pp::RunResult rc = tracked.run(c, 41);
     EXPECT_EQ(a, b);
     EXPECT_EQ(ra.interactions, rb.interactions);
     EXPECT_EQ(ra.state_changes, rb.state_changes);
     EXPECT_EQ(ra.last_change_step, rb.last_change_step);
-    // Kernel on/off is bitwise identical, multi-urn included.
+    // With or without the adjacency index is bitwise identical, multi-urn
+    // included.
     EXPECT_EQ(a, c);
     EXPECT_EQ(ra.interactions, rc.interactions);
     EXPECT_EQ(ra.state_changes, rc.state_changes);
@@ -392,7 +401,7 @@ TEST(UrnEngineTest, ClusteredPerStepStreamIsPinned) {
   const auto lumping = urn_harness::dumbbell({120, 100, 80}, 0.05);
   pp::EngineOptions options;
   options.max_interactions = 1'000'000;  // a broken update fails fast
-  DenseEngine engine(*protocol, options, DenseMode::kPerStep, true, lumping);
+  DenseEngine engine(*protocol, options, DenseMode::kPerStep, lumping);
   util::Rng rng(17);
   UrnConfig config = UrnConfig::from_workload(
       *protocol, workload_of({130, 100, 70}), lumping.sizes, rng);
@@ -426,14 +435,15 @@ class PairingProtocol final : public pp::Protocol {
 
 TEST(UrnEngineTest, SameStatePairsReachExactSilence) {
   // 51 agents in state 0 pair off until one is left: exactly 25 changes,
-  // then silence, in every mode, urn layout and kernel path.
+  // then silence, in every mode, urn layout and kernel (with and without
+  // the adjacency index).
   const PairingProtocol protocol;
   const auto lumping = urn_harness::dumbbell({30, 21}, 0.1);
   pp::EngineOptions options;
   options.max_interactions = 1'000'000;  // a broken update fails fast
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    for (const bool use_kernel : {true, false}) {
-      const DenseEngine single(protocol, options, mode, use_kernel);
+    for (const bool adjacency : {true, false}) {
+      const DenseEngine single(compile(protocol, adjacency), options, mode);
       DenseConfig config = DenseConfig::from_workload(protocol,
                                                       workload_of({51, 0}));
       const pp::RunResult r1 = single.run(config, 13);
@@ -442,7 +452,8 @@ TEST(UrnEngineTest, SameStatePairsReachExactSilence) {
       EXPECT_EQ(r1.interactions, r1.last_change_step + 1);
       EXPECT_EQ(config.counts, (CountVector{1, 50}));
 
-      const DenseEngine urns(protocol, options, mode, use_kernel, lumping);
+      const DenseEngine urns(compile(protocol, adjacency), options, mode,
+                             lumping);
       util::Rng rng(4);
       UrnConfig split = UrnConfig::from_workload(
           protocol, workload_of({51, 0}), lumping.sizes, rng);
@@ -462,7 +473,7 @@ TEST(UrnEngineTest, BudgetExhaustionReportedExactly) {
   pp::EngineOptions options;
   options.max_interactions = 4000;
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine engine(*protocol, options, mode, true, lumping);
+    DenseEngine engine(*protocol, options, mode, lumping);
     util::Rng rng(2);
     UrnConfig config = UrnConfig::from_workload(
         *protocol, workload_of({300, 200, 100}), lumping.sizes, rng);
@@ -477,7 +488,7 @@ TEST(UrnEngineTest, RejectsMismatchedConfigurations) {
   const auto protocol = sim::ProtocolRegistry::global().create("circles",
                                                                {.k = 2});
   const auto lumping = urn_harness::dumbbell({6, 4}, 0.2);
-  DenseEngine engine(*protocol, {}, DenseMode::kPerStep, true, lumping);
+  DenseEngine engine(*protocol, {}, DenseMode::kPerStep, lumping);
   // DenseConfig on a multi-urn engine.
   DenseConfig dense = DenseConfig::from_workload(*protocol, workload_of({6, 4}));
   EXPECT_DEATH((void)engine.run(dense, 1), "multi-urn");
@@ -574,7 +585,7 @@ UrnCounts urn_engine_final(const pp::Protocol& protocol,
       config.urns[u][protocol.input(c)] += initial_colors_by_urn[u][c];
     }
   }
-  DenseEngine engine(protocol, {}, mode, true, lumping);
+  DenseEngine engine(protocol, {}, mode, lumping);
   const pp::RunResult result = engine.run(config, seed);
   EXPECT_TRUE(result.silent);
   return config.urns;
@@ -756,7 +767,7 @@ TEST(UrnSnapshotTest, ProbesSeePerUrnCountsNextToTheAggregate) {
                                                                {.k = 3});
   const auto lumping = urn_harness::dumbbell({60, 40}, 0.05);
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine engine(*protocol, {}, mode, true, lumping);
+    DenseEngine engine(*protocol, {}, mode, lumping);
     util::Rng rng(4);
     UrnConfig config = UrnConfig::from_workload(
         *protocol, workload_of({50, 30, 20}), lumping.sizes, rng);
@@ -1260,7 +1271,7 @@ TEST(ParallelRunTest, RunThreadsResolveAtConstruction) {
 }
 
 /// The tentpole guarantee: run_threads is a pure performance knob. Every
-/// cell of the (threads x urn structure x mode x kernel) matrix must leave
+/// cell of the (threads x urn structure x mode x adjacency) matrix must leave
 /// counts, RNG consumption, and every RunResult field bitwise identical to
 /// the serial engine.
 TEST(ParallelRunTest, ThreadCountsAreBitwiseIdenticalToSerial) {
@@ -1272,15 +1283,15 @@ TEST(ParallelRunTest, ThreadCountsAreBitwiseIdenticalToSerial) {
       urn_harness::dumbbell({40, 35, 25}, 0.05),
   };
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    for (const bool use_kernel : {true, false}) {
+    for (const bool adjacency : {true, false}) {
       for (const pp::UrnLumping& lumping : lumpings) {
         SCOPED_TRACE(::testing::Message()
                      << "mode=" << (mode == DenseMode::kBatched ? "batched"
                                                                 : "per_step")
-                     << " kernel=" << use_kernel
+                     << " adjacency=" << adjacency
                      << " urns=" << std::max<std::size_t>(
                             lumping.sizes.size(), 1));
-        DenseEngine serial(*protocol, {}, mode, use_kernel, lumping);
+        DenseEngine serial(compile(*protocol, adjacency), {}, mode, lumping);
         const std::uint64_t n =
             lumping.sizes.empty()
                 ? 100u
@@ -1297,7 +1308,8 @@ TEST(ParallelRunTest, ThreadCountsAreBitwiseIdenticalToSerial) {
         for (const std::uint32_t threads : {2u, 4u, 8u}) {
           pp::EngineOptions options;
           options.run_threads = threads;
-          DenseEngine parallel(*protocol, options, mode, use_kernel, lumping);
+          DenseEngine parallel(compile(*protocol, adjacency), options, mode,
+                               lumping);
           UrnConfig config = baseline_config;
           const pp::RunResult result = parallel.run(config, 4242);
           EXPECT_EQ(config, serial_config) << "threads=" << threads;
@@ -1322,8 +1334,8 @@ TEST(ParallelRunTest, EightThreadHammerMatchesSerialAcrossSeeds) {
   const auto lumping = urn_harness::dumbbell({50, 30, 20}, 0.05);
   pp::EngineOptions options;
   options.run_threads = 8;
-  DenseEngine serial(*protocol, {}, DenseMode::kBatched, true, lumping);
-  DenseEngine parallel(*protocol, options, DenseMode::kBatched, true, lumping);
+  DenseEngine serial(*protocol, {}, DenseMode::kBatched, lumping);
+  DenseEngine parallel(*protocol, options, DenseMode::kBatched, lumping);
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     util::Rng rng(seed);
     UrnConfig a = UrnConfig::from_workload(

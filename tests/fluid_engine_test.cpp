@@ -31,6 +31,15 @@ std::unique_ptr<pp::Protocol> make(const std::string& name, std::uint32_t k) {
   return sim::ProtocolRegistry::global().create(name, params);
 }
 
+/// A kernel without the adjacency index: the drift table then enumerates
+/// every ordered pair of the closure, as it does over sparse kernels.
+std::shared_ptr<const kernel::CompiledProtocol> pair_enumerating(
+    const pp::Protocol& protocol) {
+  kernel::CompileOptions options;
+  options.build_adjacency = false;
+  return std::make_shared<const kernel::CompiledProtocol>(protocol, options);
+}
+
 // ---------------------------------------------------------------------------
 // DriftTable
 
@@ -38,7 +47,7 @@ TEST(DriftTableTest, ClosureCoversExactlyTheInputReachableStates) {
   // approx_majority_3state: inputs X, Y; blank B appears only through
   // transitions — all 3 states are input-reachable.
   const auto protocol = make("approx_majority_3state", 2);
-  const DriftTable table(*protocol, nullptr, 1 << 20);
+  const DriftTable table(*pair_enumerating(*protocol), 1 << 20);
   EXPECT_EQ(table.num_species(), protocol->num_states());
   // Species ascending, index_of is the inverse map.
   for (std::size_t i = 0; i < table.num_species(); ++i) {
@@ -50,7 +59,7 @@ TEST(DriftTableTest, ClosureCoversExactlyTheInputReachableStates) {
 
 TEST(DriftTableTest, TermsAreExactlyTheNonNullPairsOfTheClosure) {
   const auto protocol = make("circles", 3);
-  const DriftTable table(*protocol, nullptr, 1 << 24);
+  const DriftTable table(*pair_enumerating(*protocol), 1 << 24);
   // Every term must reproduce the protocol's transition, and every non-null
   // ordered pair of closure states must appear exactly once.
   std::size_t non_null = 0;
@@ -79,23 +88,32 @@ TEST(DriftTableTest, TermsAreExactlyTheNonNullPairsOfTheClosure) {
   }
 }
 
-TEST(DriftTableTest, KernelAndVirtualBuildsProduceIdenticalTables) {
+TEST(DriftTableTest, AdjacencyAndPairEnumerationBuildsProduceIdenticalTables) {
   const auto protocol = make("circles", 4);
-  const kernel::CompiledProtocol compiled(*protocol);
-  const DriftTable virt(*protocol, nullptr, 1 << 24);
-  const DriftTable kern(*protocol, &compiled, 1 << 24);
-  ASSERT_EQ(virt.num_species(), kern.num_species());
-  EXPECT_TRUE(std::equal(virt.species().begin(), virt.species().end(),
-                         kern.species().begin()));
-  ASSERT_EQ(virt.terms().size(), kern.terms().size());
-  EXPECT_TRUE(std::equal(virt.terms().begin(), virt.terms().end(),
-                         kern.terms().begin()));
+  const DriftTable indexed(kernel::CompiledProtocol(*protocol), 1 << 24);
+  kernel::CompileOptions sparse;
+  sparse.max_dense_entries = 0;
+  for (const auto& built :
+       {pair_enumerating(*protocol),
+        std::make_shared<const kernel::CompiledProtocol>(*protocol, sparse)}) {
+    const kernel::CompiledProtocol& compiled = *built;
+    ASSERT_FALSE(compiled.has_adjacency());
+    const DriftTable enumerated(compiled, 1 << 24);
+    ASSERT_EQ(indexed.num_species(), enumerated.num_species());
+    EXPECT_TRUE(std::equal(indexed.species().begin(),
+                           indexed.species().end(),
+                           enumerated.species().begin()));
+    ASSERT_EQ(indexed.terms().size(), enumerated.terms().size());
+    EXPECT_TRUE(std::equal(indexed.terms().begin(), indexed.terms().end(),
+                           enumerated.terms().begin()));
+  }
 }
 
 TEST(DriftTableTest, PairBudgetThrowsWithActionableMessage) {
   const auto protocol = make("circles", 5);
   try {
-    const DriftTable table(*protocol, nullptr, /*max_pair_lookups=*/10);
+    const DriftTable table(*pair_enumerating(*protocol),
+                           /*max_pair_lookups=*/10);
     FAIL() << "expected the pair budget to throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("pair-enumeration budget"),
@@ -259,16 +277,14 @@ TEST(FluidEngineTest, CirclesMillionAgentsReachesSilentConsensus) {
 
 TEST(FluidEngineTest, TrajectoryIsBitwiseDeterministicAcrossBuildPaths) {
   const auto protocol = make("circles", 3);
-  const auto kernel = std::make_shared<const kernel::CompiledProtocol>(
-      *protocol);
-  const FluidEngine virt(*protocol);
-  const FluidEngine kern(kernel);
+  const FluidEngine enumerated(pair_enumerating(*protocol));
+  const FluidEngine indexed(*protocol);
   const analysis::Workload workload = workload_of({500000, 300000, 200000});
   dense::DenseConfig a = dense::DenseConfig::from_workload(*protocol, workload);
   dense::DenseConfig b = dense::DenseConfig::from_workload(*protocol, workload);
   // Different seeds on purpose: the ODE trajectory must not consume them.
-  const pp::RunResult ra = virt.run(a, /*seed=*/1);
-  const pp::RunResult rb = kern.run(b, /*seed=*/99);
+  const pp::RunResult ra = enumerated.run(a, /*seed=*/1);
+  const pp::RunResult rb = indexed.run(b, /*seed=*/99);
   EXPECT_EQ(ra.interactions, rb.interactions);
   EXPECT_EQ(ra.state_changes, rb.state_changes);
   EXPECT_EQ(ra.silent, rb.silent);

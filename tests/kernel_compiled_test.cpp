@@ -293,71 +293,6 @@ TEST(CompiledProtocolTest, ConfigSilentAgreesWithIsSilent) {
   }
 }
 
-/// Kernels on vs off must be invisible in the results: same seeds, same
-/// trajectories, same final configurations, on every backend.
-TEST(KernelEndToEndTest, RunResultsBitwiseIdenticalWithKernelsOnAndOff) {
-  for (const auto backend :
-       {sim::EngineKind::kAgentArray, sim::EngineKind::kDense,
-        sim::EngineKind::kDenseBatched}) {
-    sim::RunSpec spec;
-    spec.protocol = "circles";
-    spec.params.k = 3;
-    spec.n = 60;
-    spec.trials = 6;
-    spec.seed = 99;
-    spec.backend = backend;
-
-    spec.use_kernel = true;
-    const auto on = sim::BatchRunner().run_one(spec);
-    spec.use_kernel = false;
-    const auto off = sim::BatchRunner().run_one(spec);
-
-    EXPECT_TRUE(on.kernel_compiled);
-    EXPECT_FALSE(off.kernel_compiled);
-    ASSERT_EQ(on.trials.size(), off.trials.size());
-    for (std::size_t t = 0; t < on.trials.size(); ++t) {
-      const auto& a = on.trials[t];
-      const auto& b = off.trials[t];
-      EXPECT_EQ(a.seed, b.seed);
-      EXPECT_EQ(a.outcome.run.interactions, b.outcome.run.interactions);
-      EXPECT_EQ(a.outcome.run.state_changes, b.outcome.run.state_changes);
-      EXPECT_EQ(a.outcome.run.last_change_step, b.outcome.run.last_change_step);
-      EXPECT_EQ(a.outcome.run.silent, b.outcome.run.silent);
-      EXPECT_EQ(a.outcome.run.final_outputs, b.outcome.run.final_outputs);
-      EXPECT_EQ(a.outcome.correct, b.outcome.correct);
-      EXPECT_EQ(a.outcome.consensus, b.outcome.consensus);
-    }
-  }
-}
-
-TEST(KernelEndToEndTest, ChemicalTimeBitwiseIdenticalWithKernelsOnAndOff) {
-  // kernel=off on a chemical-time spec takes the fully-virtual Gillespie
-  // path; the clocks and the embedded discrete run must match exactly.
-  sim::RunSpec spec;
-  spec.protocol = "circles";
-  spec.params.k = 3;
-  spec.n = 30;
-  spec.trials = 3;
-  spec.seed = 5;
-  spec.chemical_time = true;
-
-  spec.use_kernel = true;
-  const auto on = sim::BatchRunner().run_one(spec);
-  spec.use_kernel = false;
-  const auto off = sim::BatchRunner().run_one(spec);
-
-  ASSERT_EQ(on.trials.size(), off.trials.size());
-  for (std::size_t t = 0; t < on.trials.size(); ++t) {
-    EXPECT_EQ(on.trials[t].outcome.run.interactions,
-              off.trials[t].outcome.run.interactions);
-    EXPECT_EQ(on.trials[t].outcome.run.final_outputs,
-              off.trials[t].outcome.run.final_outputs);
-    EXPECT_EQ(on.trials[t].stabilization_time,
-              off.trials[t].stabilization_time);
-    EXPECT_EQ(on.trials[t].convergence_time, off.trials[t].convergence_time);
-  }
-}
-
 TEST(KernelEndToEndTest, BatchRunnerSurfacesCompileStats) {
   sim::RunSpec spec;
   spec.protocol = "circles";
@@ -399,24 +334,26 @@ TEST(KernelEndToEndTest, EngineRunMatchesRunVirtual) {
   EXPECT_EQ(with.final_outputs, without.final_outputs);
 }
 
-TEST(RunSpecKernelFieldTest, ToStringAndParseRoundTripKernelOff) {
+TEST(RunSpecKernelFieldTest, ParseRejectsRemovedKernelToken) {
+  // Kernels are always compiled: old REPRO lines and spec files that still
+  // carry kernel= fail at parse time, naming the fix.
   sim::RunSpec spec;
   spec.protocol = "circles";
   spec.params.k = 4;
   spec.n = 100;
-  spec.use_kernel = false;
   const std::string text = spec.to_string();
-  EXPECT_NE(text.find("kernel=off"), std::string::npos);
-  const sim::RunSpec parsed = sim::RunSpec::parse(text);
-  EXPECT_FALSE(parsed.use_kernel);
-
-  spec.use_kernel = true;
-  const std::string on_text = spec.to_string();
-  EXPECT_EQ(on_text.find("kernel="), std::string::npos);
-  EXPECT_TRUE(sim::RunSpec::parse(on_text).use_kernel);
-  EXPECT_TRUE(sim::RunSpec::parse(on_text + " kernel=on").use_kernel);
-  EXPECT_THROW(sim::RunSpec::parse("circles(k=3) kernel=maybe"),
-               std::invalid_argument);
+  EXPECT_EQ(text.find("kernel="), std::string::npos);
+  EXPECT_NO_THROW((void)sim::RunSpec::parse(text));
+  for (const char* token : {" kernel=off", " kernel=on", " kernel=maybe"}) {
+    try {
+      (void)sim::RunSpec::parse(text + token);
+      FAIL() << "expected kernel= to be rejected: " << token;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("always compiled"), std::string::npos) << message;
+      EXPECT_NE(message.find("drop"), std::string::npos) << message;
+    }
+  }
 }
 
 }  // namespace

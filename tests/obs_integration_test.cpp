@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/invariants.hpp"
+#include "dense/dense_engine.hpp"
 #include "obs/obs.hpp"
 #include "sim/sim.hpp"
 
@@ -29,23 +30,55 @@ sim::RunSpec energy_spec(sim::EngineKind backend, std::uint32_t k,
 }
 
 TEST(ObsIntegrationTest, EnergyTraceBitwiseIdenticalWithKernelOnAndOff) {
-  // The engines produce bitwise-identical runs with the kernel on or off,
-  // and probes never touch the RNG streams — so the recorded trajectories
-  // must be byte-for-byte equal, on the agent AND both dense backends.
-  for (const sim::EngineKind backend :
-       {sim::EngineKind::kAgentArray, sim::EngineKind::kDense,
-        sim::EngineKind::kDenseBatched}) {
-    sim::RunSpec on = energy_spec(backend, 3, 80, 3, 11);
-    sim::RunSpec off = on;
-    off.use_kernel = false;
-    const auto result_on = sim::BatchRunner().run_one(on);
-    const auto result_off = sim::BatchRunner().run_one(off);
-    ASSERT_EQ(result_on.trials.size(), result_off.trials.size());
-    for (std::size_t t = 0; t < result_on.trials.size(); ++t) {
-      EXPECT_EQ(result_on.trials[t].traces.at(0),
-                result_off.trials[t].traces.at(0))
-          << sim::to_string(backend) << " trial " << t;
-    }
+  // Probes never touch the RNG streams and read the same counts whichever
+  // kernel the host holds, so recorded trajectories must be byte-for-byte
+  // equal: on the agent engine, a recorder given the trial's kernel vs one
+  // without (the probes then read the protocol); on both dense modes, a
+  // kernel with vs without its adjacency index.
+  const auto protocol =
+      sim::ProtocolRegistry::global().create("circles", {.k = 3});
+  analysis::Workload workload;
+  workload.counts = {40, 25, 15};
+  const obs::ProbeSpec probe_spec = obs::ProbeSpec::parse("energy@log:32");
+  const auto record = [&](auto&& run) {
+    obs::RecorderOptions options;
+    options.interaction_horizon = pp::EngineOptions{}.max_interactions;
+    obs::Recorder recorder(options);
+    const auto probe = obs::make_probe(probe_spec, *protocol);
+    recorder.add(probe.get(), probe_spec.grid);
+    run(recorder);
+    return probe->take_table();
+  };
+
+  const kernel::CompiledProtocol compiled(*protocol);
+  const auto agent_trace = [&](const kernel::CompiledProtocol* kernel) {
+    return record([&](obs::Recorder& recorder) {
+      sim::TrialOptions options;
+      options.seed = 11;
+      options.kernel = kernel;
+      options.recorder = &recorder;
+      (void)sim::run_trial(*protocol, workload, options);
+    });
+  };
+  EXPECT_EQ(agent_trace(&compiled), agent_trace(nullptr));
+
+  kernel::CompileOptions no_adjacency;
+  no_adjacency.build_adjacency = false;
+  for (const dense::DenseMode mode :
+       {dense::DenseMode::kPerStep, dense::DenseMode::kBatched}) {
+    const auto dense_trace = [&](const kernel::CompileOptions& options) {
+      return record([&](obs::Recorder& recorder) {
+        const dense::DenseEngine engine(
+            std::make_shared<const kernel::CompiledProtocol>(*protocol,
+                                                             options),
+            {}, mode);
+        dense::DenseConfig config =
+            dense::DenseConfig::from_workload(*protocol, workload);
+        (void)engine.run(config, 11, &recorder);
+      });
+    };
+    EXPECT_EQ(dense_trace({}), dense_trace(no_adjacency))
+        << (mode == dense::DenseMode::kBatched ? "batched" : "per_step");
   }
 }
 
